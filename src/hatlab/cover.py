@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import HatLabError, InfeasibleError, ParameterError
+from .errors import HatLabError, InfeasibleError, ParameterError, file_int
 
 MAX_DIMENSION = 8
 MAX_POINTS = 10**5
@@ -328,6 +328,8 @@ def read_point_set(path: str) -> PointSet:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        return PointSet.of(int(payload["d"]), payload["points"])
+        d = file_int(payload["d"], "d")
+        points = [[file_int(c, "coordinate") for c in p] for p in payload["points"]]
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed point-set file {path}: {exc}") from exc
+    return PointSet.of(d, points)

@@ -406,17 +406,6 @@ def k22_certificate_search() -> tuple[tuple[int, int, int], tuple[int, int, int]
     raise ParameterError("no valid partition pair exists")  # pragma: no cover
 
 
-def k22_valid_pair_count() -> int:
-    """Full tally of valid (P, Q) partition pairs (slow path of the search)."""
-    part_masks, compatible = k22_valid_pair_matrix()
-    total = 0
-    for code in range(3**9):
-        p0, p1, p2 = (int(part_masks[i][code]) for i in range(3))
-        valid = compatible[p0] & compatible[p1] & compatible[p2]
-        total += int(np.count_nonzero(valid))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # serialization: 16 hex digits, nibble t holding cells 4t..4t+3
 

@@ -3,7 +3,11 @@
 Two broad failure classes: the caller asked for something malformed
 (ParameterError), or the request is well-formed but too large for the
 configured budget (InfeasibleError).  CLI exit codes map onto these.
+file_int is the integer check every file reader applies, so that a bad
+value in a file is a ParameterError too.
 """
+
+from typing import Any
 
 
 class HatLabError(Exception):
@@ -12,6 +16,13 @@ class HatLabError(Exception):
 
 class ParameterError(HatLabError, ValueError):
     """Malformed or out-of-contract arguments (bad shapes, mismatched q, ...)."""
+
+
+def file_int(value: Any, what: str) -> int:
+    """A JSON integer read from a file; floats, bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class InfeasibleError(HatLabError):

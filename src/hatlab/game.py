@@ -14,6 +14,12 @@ Conventions, fixed across the package:
 * Assignments are tuples (c_0, ..., c_{n-1}) enumerated in lexicographic
   order, so a reported counterexample is the lexicographically least losing
   assignment and reports do not depend on chunking or thread count.
+* The verifier sees the assignment space as the C-order tensor [q]^n, axis
+  v holding c_v; C order is the lexicographic order.  Each table becomes a
+  guess tensor with size q on its neighbors' axes and 1 elsewhere, "v
+  guesses right" is that tensor compared with the colors on axis v, and
+  broadcasting ORs (or, for counts, sums) these over [q]^n, one chunk of
+  fixed leading coordinates at a time.
 """
 
 from __future__ import annotations
@@ -22,18 +28,19 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError
-from .sweep import chunk_ranges, run_chunks
+from .errors import InfeasibleError, ParameterError, file_int
+from .sweep import run_chunks
 
 ColorAssignment = tuple[int, ...]
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**9
 DEFAULT_SEARCH_BUDGET = 10**6
 DEFAULT_STRATEGY_SPACE_BUDGET = 10**8
+DEFAULT_CHUNK = 1 << 19  # cells of [q]^n per verification work item
 
 GRAPH_FAMILIES = ("complete", "complete_bipartite", "book", "windmill", "custom")
 
@@ -187,43 +194,61 @@ def _check_strategy_shape(g: Graph, q: int, s: Strategy) -> None:
         if len(s.tables[v]) != want:
             raise ParameterError(
                 f"vertex {v}: table has {len(s.tables[v])} entries, expected {want}")
-        if len(s.tables[v]) and int(s.tables[v].max()) >= q:
+        t = s.tables[v]
+        if len(t) and (int(t.min()) < 0 or int(t.max()) >= q):
             raise ParameterError(f"vertex {v}: guess out of color range [{q}]")
 
 
-def _any_correct(g: Graph, s: Strategy, cols: list[np.ndarray]) -> np.ndarray:
-    """Boolean array: does some vertex guess its own color, per assignment."""
-    q = s.q
-    m = len(cols[0])
-    correct = np.zeros(m, dtype=bool)
-    for v in range(g.n_vertices):
-        idx = np.zeros(m, dtype=np.int64)
-        mul = 1
-        for u in g.adjacency[v]:
-            idx += cols[u] * mul
-            mul *= q
-        correct |= s.tables[v][idx] == cols[v]
-    return correct
+def _guess_tensors(g: Graph, s: Strategy) -> list[np.ndarray]:
+    """Every vertex's table as a C-order tensor with one size-q axis per neighbor.
+
+    C order makes the last axis of reshape((q,)*k) the least significant
+    digit, i.e. the smallest neighbor; transposing puts the axes in
+    ascending vertex order.  The transposed view is copied once, so that
+    sweeping [q]^n in C order reads each table sequentially (three times
+    faster than reading the view, for one copy of the strategy).
+    """
+    return [np.ascontiguousarray(t.reshape((s.q,) * g.degree(v)).T)
+            for v, t in enumerate(s.tables)]
 
 
-def _correct_counts(g: Graph, s: Strategy, cols: list[np.ndarray]) -> np.ndarray:
-    q = s.q
-    m = len(cols[0])
-    counts = np.zeros(m, dtype=np.int64)
-    for v in range(g.n_vertices):
-        idx = np.zeros(m, dtype=np.int64)
-        mul = 1
-        for u in g.adjacency[v]:
-            idx += cols[u] * mul
-            mul *= q
-        counts += s.tables[v][idx] == cols[v]
-    return counts
+def _chunk_hits(g: Graph, guesses: list[np.ndarray], q: int,
+                prefix: ColorAssignment) -> Iterator[np.ndarray]:
+    """Per vertex, "v guesses its own color" on the chunk of [q]^n whose
+    leading coordinates are `prefix`: a tensor over the n - len(prefix) free
+    axes, size q on v's free neighbors (and on v itself) and 1 elsewhere."""
+    p, n = len(prefix), g.n_vertices
+    colors = np.arange(q, dtype=np.min_scalar_type(max(q - 1, 1)))
+    for v, t in enumerate(guesses):
+        nbrs = g.adjacency[v]
+        t = t[tuple(prefix[u] for u in nbrs if u < p)]
+        t = t.reshape([q if a in nbrs else 1 for a in range(p, n)])
+        own = prefix[v] if v < p else colors.reshape([q if a == v else 1 for a in range(p, n)])
+        yield t == own
 
 
-def _space_columns(q: int, n: int, lo: int, hi: int) -> list[np.ndarray]:
-    """Color columns for assignment indices [lo, hi) in lexicographic order."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    return [(idx // q ** (n - 1 - v)) % q for v in range(n)]
+def _member_hits(g: Graph, guesses: list[np.ndarray], mat: np.ndarray) -> Iterator[np.ndarray]:
+    """Per vertex, "v guesses its own color" on each row of an assignment matrix."""
+    for v, t in enumerate(guesses):
+        yield t[tuple(mat[:, u] for u in g.adjacency[v])] == mat[:, v]
+
+
+def _any_hit(hits: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Boolean tensor of `shape`: does some vertex guess its own color."""
+    # bool OR is slow when one side broadcasts along a long inner axis; the
+    # same bytes OR-ed as uint8 are not.
+    won = np.zeros(shape, dtype=np.uint8)
+    for hit in hits:
+        won |= hit.view(np.uint8)
+    return won.view(bool)
+
+
+def _leading_axes(q: int, n: int) -> int:
+    """How many leading coordinates a chunk fixes to stay within DEFAULT_CHUNK cells."""
+    p = 0
+    while p < n and q ** (n - p) > DEFAULT_CHUNK:
+        p += 1
+    return p
 
 
 def _restriction_matrix(g: Graph, q: int, restriction: Iterable[ColorAssignment]) -> np.ndarray:
@@ -255,33 +280,33 @@ def verify_strategy(
     """
     _check_strategy_shape(g, q, s)
     n = g.n_vertices
+    guesses = _guess_tensors(g, s)
 
     if restriction is not None:
         mat = _restriction_matrix(g, q, restriction)
         if len(mat) == 0:
             return VerificationReport(True, None, 0)
-        correct = _any_correct(g, s, [mat[:, v] for v in range(n)])
-        losing = np.flatnonzero(~correct)
-        if len(losing) == 0:
+        won = _any_hit(_member_hits(g, guesses, mat), (len(mat),))
+        if won.all():
             return VerificationReport(True, None, len(mat))
-        first = int(losing[0])
+        first = int(np.argmin(won))
         return VerificationReport(False, tuple(int(c) for c in mat[first]), first + 1)
 
     total = q**n
     if total > budget:
         raise InfeasibleError(
             f"{total} assignments exceed budget {budget}", required=total)
+    p = _leading_axes(q, n)
+    cells = q ** (n - p)
 
-    def work(rng: tuple[int, int]) -> int | None:
-        lo, hi = rng
-        cols = _space_columns(q, n, lo, hi)
-        bad = np.flatnonzero(~_any_correct(g, s, cols))
-        return lo + int(bad[0]) if len(bad) else None
+    def work(chunk: int) -> int | None:
+        prefix = _decode_assignment(chunk, q, p)
+        won = _any_hit(_chunk_hits(g, guesses, q, prefix), (q,) * (n - p))
+        return None if won.all() else chunk * cells + int(np.argmin(won))
 
-    for res in run_chunks(work, chunk_ranges(total), threads):
+    for res in run_chunks(work, range(q**p), threads):
         if res is not None:
-            cex = _decode_assignment(res, q, n)
-            return VerificationReport(False, cex, res + 1)
+            return VerificationReport(False, _decode_assignment(res, q, n), res + 1)
     return VerificationReport(True, None, total)
 
 
@@ -303,13 +328,18 @@ def correct_guess_counts(
     """Number of correct guessers per assignment (lexicographic order)."""
     _check_strategy_shape(g, q, s)
     n = g.n_vertices
+    guesses = _guess_tensors(g, s)
     if restriction is not None:
         mat = _restriction_matrix(g, q, restriction)
-        return _correct_counts(g, s, [mat[:, v] for v in range(n)])
-    total = q**n
-    if total > budget:
-        raise InfeasibleError(f"{total} assignments exceed budget {budget}", required=total)
-    return _correct_counts(g, s, _space_columns(q, n, 0, total))
+        counts, hits = np.zeros(len(mat), dtype=np.int64), _member_hits(g, guesses, mat)
+    else:
+        total = q**n
+        if total > budget:
+            raise InfeasibleError(f"{total} assignments exceed budget {budget}", required=total)
+        counts, hits = np.zeros((q,) * n, dtype=np.int64), _chunk_hits(g, guesses, q, ())
+    for hit in hits:
+        counts += hit
+    return counts.ravel()
 
 
 def strategy_guesses(g: Graph, q: int, s: Strategy, assignment: ColorAssignment) -> tuple[int, ...]:
@@ -580,18 +610,33 @@ def write_strategy_file(path: str, g: Graph, s: Strategy) -> None:
         fh.write("\n")
 
 
+def _file_table(values: object, v: int) -> np.ndarray:
+    """One guess table from a file: a flat list of integers (no bools)."""
+    if not isinstance(values, list) or set(map(type, values)) - {int}:
+        raise ParameterError(f"vertex {v}: table must be a flat list of integers")
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ParameterError(f"vertex {v}: table entry out of range: {exc}") from exc
+
+
 def read_strategy_file(path: str) -> tuple[Graph, int, Strategy]:
     with open(path) as fh:
         payload = json.load(fh)
     try:
         family = payload["graph"]["family"]
-        params = [int(p) for p in payload["graph"]["params"]]
-        q = int(payload["q"])
+        params = [file_int(p, "graph parameter") for p in payload["graph"]["params"]]
+        q = file_int(payload["q"], "q")
         tables = payload["tables"]
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed strategy file {path}: {exc}") from exc
+    if not isinstance(tables, list):
+        raise ParameterError(f"malformed strategy file {path}: tables must be a list")
     g = _graph_from_spec(family, params)
-    s = Strategy.from_lists(q, tables)
+    arrays = [_file_table(t, v) for v, t in enumerate(tables)]
+    if any(t.size and (t.min() < 0 or t.max() >= q) for t in arrays):
+        raise ParameterError(f"strategy file {path}: guesses must be colors in [{q}]")
+    s = Strategy.from_lists(q, arrays)
     _check_strategy_shape(g, q, s)
     return g, q, s
 
@@ -607,8 +652,8 @@ def read_assignment_set(path: str) -> tuple[int, int, tuple[ColorAssignment, ...
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        q, n = int(payload["q"]), int(payload["n"])
-        members = tuple(tuple(int(c) for c in a) for a in payload["members"])
+        q, n = file_int(payload["q"], "q"), file_int(payload["n"], "n")
+        members = tuple(tuple(file_int(c, "color") for c in a) for a in payload["members"])
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed assignment-set file {path}: {exc}") from exc
     for a in members:

@@ -1,10 +1,9 @@
 """Deterministic chunked execution for big enumeration sweeps.
 
-Work is split into fixed index ranges; results are always reduced in range
-order, so the outcome is identical whether chunks run serially or on a
-thread pool.  numpy releases the GIL on large array ops, which is where all
-the heavy lifting happens, so threads give real speedup without any
-nondeterminism.
+Work is split into fixed chunks; results are always reduced in chunk order,
+so the outcome is identical whether chunks run serially or on a thread pool.
+numpy releases the GIL on large array ops, which is where all the heavy
+lifting happens, so threads give real speedup without any nondeterminism.
 """
 
 from __future__ import annotations
@@ -13,35 +12,25 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
 
+C = TypeVar("C")
 T = TypeVar("T")
-
-DEFAULT_CHUNK = 1 << 19
 
 
 def default_threads() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def chunk_ranges(total: int, chunk: int = DEFAULT_CHUNK) -> Iterator[tuple[int, int]]:
-    """Yield (lo, hi) index ranges covering range(total) in order."""
-    lo = 0
-    while lo < total:
-        hi = min(lo + chunk, total)
-        yield lo, hi
-        lo = hi
-
-
 def run_chunks(
-    work: Callable[[tuple[int, int]], T],
-    ranges: Iterable[tuple[int, int]],
+    work: Callable[[C], T],
+    chunks: Iterable[C],
     threads: int | None = None,
 ) -> Iterator[T]:
-    """Apply `work` to every range, yielding results in range order."""
+    """Apply `work` to every chunk, yielding results in chunk order."""
     n = default_threads() if threads is None else max(1, threads)
-    ranges = list(ranges)
-    if n <= 1 or len(ranges) <= 1:
-        for r in ranges:
-            yield work(r)
+    chunks = list(chunks)
+    if n <= 1 or len(chunks) <= 1:
+        for c in chunks:
+            yield work(c)
         return
     with ThreadPoolExecutor(max_workers=n) as pool:
-        yield from pool.map(work, ranges)
+        yield from pool.map(work, chunks)

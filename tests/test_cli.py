@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hatlab import PointSet, write_point_set
 from hatlab.cli import main, parse_graph_spec
@@ -166,3 +168,122 @@ def test_reports_deterministic_across_threads_and_reruns(capsys):
                               "--mode", "random", "--trials", "40",
                               "--seed", "9")[1]) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# --- malformed input files: exit 2 and one JSON line, whatever is wrong ------
+
+SCALAR_NOT_AN_INT = st.one_of(
+    st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 1), max_size=1))
+NOT_AN_INT = st.one_of(SCALAR_NOT_AN_INT, st.lists(st.integers(0, 1), max_size=2))
+
+
+def bad_color(q):
+    return st.one_of(NOT_AN_INT, st.integers(max_value=-1), st.integers(min_value=q),
+                     st.just(-1), st.just(300), st.just(2**64))
+
+
+GOOD_STRATEGY = {"graph": {"family": "complete", "params": [2]}, "q": 2,
+                 "tables": [[0, 1], [1, 0]]}
+GOOD_RESTRICTION = {"q": 2, "n": 2, "members": [[0, 1], [1, 1]]}
+GOOD_POINTS = {"d": 2, "points": [[0, 1], [1, 0]]}
+
+
+@st.composite
+def broken(draw, good, where):
+    """`good` with one value at a drawn path replaced by `draw(where[path])`."""
+    payload = json.loads(json.dumps(good))
+    path = draw(st.sampled_from(sorted(where)))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    if draw(st.booleans()) and path[-1] in node and isinstance(path[-1], str):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = draw(where[path])
+    return payload
+
+
+STRATEGY_FAULTS = {
+    ("tables", 0, 1): bad_color(2),
+    ("tables", 1, 0): bad_color(2),
+    ("tables", 1): st.one_of(SCALAR_NOT_AN_INT, st.lists(bad_color(2), min_size=2, max_size=2),
+                             st.lists(st.integers(0, 1), max_size=3).filter(lambda t: len(t) != 2)),
+    ("tables",): st.one_of(st.text(max_size=3), st.integers(), st.none(), st.floats()),
+    ("q",): NOT_AN_INT,
+    ("graph", "params", 0): NOT_AN_INT,
+    ("graph", "params"): st.one_of(st.text(min_size=1, max_size=3), st.integers()),
+    ("graph",): st.one_of(st.text(max_size=3), st.integers(), st.none()),
+}
+RESTRICTION_FAULTS = {
+    ("members", 0, 0): bad_color(2),
+    ("members", 1, 1): bad_color(2),
+    ("members", 1): st.one_of(SCALAR_NOT_AN_INT,
+                              st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+    ("members",): st.one_of(st.text(min_size=1, max_size=3), st.integers(), st.none()),
+    ("q",): NOT_AN_INT,
+    ("n",): NOT_AN_INT,
+}
+POINT_FAULTS = {
+    ("points", 0, 0): st.one_of(NOT_AN_INT, st.integers(max_value=-1)),
+    ("points", 1, 1): st.one_of(NOT_AN_INT, st.integers(max_value=-1)),
+    ("points", 1): st.one_of(st.integers(), st.none(), st.floats(),
+                             st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+    ("points",): st.one_of(st.integers(), st.none(), st.floats()),
+    ("d",): NOT_AN_INT,
+}
+
+
+def assert_one_error_line(capsys, argv):
+    code, reports = run(capsys, *argv)
+    assert code == 2
+    assert len(reports) == 1 and reports[0]["status"] == "error"
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(payload=broken(GOOD_STRATEGY, STRATEGY_FAULTS))
+def test_malformed_strategy_files_exit_two(capsys, tmp_path, payload):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    assert_one_error_line(capsys, ["verify", "-g", "complete:2", "-q", "2", "-s", str(path)])
+
+
+@FUZZ
+@given(payload=broken(GOOD_RESTRICTION, RESTRICTION_FAULTS))
+def test_malformed_assignment_sets_exit_two(capsys, tmp_path, payload):
+    strategy, restriction = tmp_path / "s.json", tmp_path / "r.json"
+    strategy.write_text(json.dumps(GOOD_STRATEGY))
+    restriction.write_text(json.dumps(payload))
+    assert_one_error_line(capsys, ["verify", "-g", "complete:2", "-q", "2",
+                                   "-s", str(strategy), "--restriction", str(restriction)])
+
+
+@FUZZ
+@given(payload=broken(GOOD_POINTS, POINT_FAULTS))
+def test_malformed_point_sets_exit_two(capsys, tmp_path, payload):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    assert_one_error_line(capsys, ["cover", "--file", str(path)])
+
+
+def test_good_fuzz_seeds_are_accepted(capsys, tmp_path):
+    strategy, restriction, points = (tmp_path / f for f in ("s.json", "r.json", "p.json"))
+    strategy.write_text(json.dumps(GOOD_STRATEGY))
+    restriction.write_text(json.dumps(GOOD_RESTRICTION))
+    points.write_text(json.dumps(GOOD_POINTS))
+    assert run(capsys, "verify", "-g", "complete:2", "-q", "2", "-s", str(strategy),
+               "--restriction", str(restriction))[0] == 0
+    assert run(capsys, "cover", "--file", str(points))[0] == 0
+
+
+@pytest.mark.parametrize("entry", [-1, 300, 1.5, "1", True])
+def test_bad_table_entries_are_usage_errors(capsys, tmp_path, entry):
+    path = tmp_path / "s.json"
+    payload = json.loads(json.dumps(GOOD_STRATEGY))
+    payload["tables"][0][1] = entry
+    path.write_text(json.dumps(payload))
+    assert_one_error_line(capsys, ["verify", "-g", "complete:2", "-q", "2", "-s", str(path)])

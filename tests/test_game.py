@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hatlab.game as game_module
 from hatlab import (
     InfeasibleError,
     ParameterError,
@@ -212,6 +214,163 @@ def test_strategy_guesses_matches_oracle():
     for assignment in itertools.product(range(3), repeat=4):
         assert strategy_guesses(g, 3, s, assignment) == \
             oracle_guesses(g, 3, tables, assignment)
+
+
+# --- broadcast kernel against the scalar path -------------------------------
+#
+# DEFAULT_CHUNK is shrunk so that tiny spaces split into many chunks; the
+# expected values come from strategy_guesses, one assignment at a time.
+
+
+def scalar_scan(g, q, s, space=None):
+    """(counterexample, assignments_checked) of the scan, from strategy_guesses."""
+    space = sorted(space) if space is not None else \
+        itertools.product(range(q), repeat=g.n_vertices)
+    checked = 0
+    for checked, a in enumerate(space, 1):
+        if not any(x == c for x, c in zip(strategy_guesses(g, q, s, a), a)):
+            return tuple(a), checked
+    return None, checked
+
+
+def scalar_counts(g, q, s, space):
+    return [sum(x == c for x, c in zip(strategy_guesses(g, q, s, a), a)) for a in space]
+
+
+def planted_losses(n, targets):
+    """The K_n sum strategy (q=n, exactly one correct guesser everywhere),
+    with the one correct guess at each target switched to a wrong color."""
+    tables = complete_sum_strategy(n, n).table_lists()
+    for target in targets:
+        v = sum(target) % n
+        others = target[:v] + target[v + 1:]
+        idx = sum(c * n**j for j, c in enumerate(others))
+        tables[v][idx] = (target[v] + 1) % n
+    return Strategy.from_lists(n, tables)
+
+
+def test_kernel_chunking_splits_leading_coordinates(monkeypatch):
+    monkeypatch.setattr(game_module, "DEFAULT_CHUNK", 16)
+    assert game_module._leading_axes(4, 4) == 2   # 16 chunks of 4^2 cells
+    assert game_module._leading_axes(3, 3) == 1   # 3 chunks of 3^2 cells
+    assert game_module._leading_axes(2, 3) == 0   # one chunk
+    assert game_module._leading_axes(5, 0) == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("chunk", [16, 64, 10**6])
+def test_planted_losses_at_chunk_boundaries(monkeypatch, chunk, threads):
+    monkeypatch.setattr(game_module, "DEFAULT_CHUNK", chunk)
+    n = q = 4
+    g = build_graph("complete", n)
+    cells = q ** (n - game_module._leading_axes(q, n))
+    space = list(itertools.product(range(q), repeat=n))
+    positions = {0, len(space) - 1}
+    for boundary in range(cells, len(space), cells):
+        positions |= {boundary - 1, boundary, boundary + 1}
+    for pos in sorted(positions & set(range(len(space)))):
+        s = planted_losses(n, [space[pos]])
+        assert scalar_scan(g, q, s) == (space[pos], pos + 1)
+        report = verify_strategy(g, q, s, threads=threads)
+        assert (report.wins, report.counterexample, report.assignments_checked) == \
+            (False, space[pos], pos + 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_least_of_two_planted_losses_wins_the_race(monkeypatch, threads):
+    # the later loss sits in an early-finishing chunk; the report still names
+    # the earlier one
+    monkeypatch.setattr(game_module, "DEFAULT_CHUNK", 4)
+    g = build_graph("complete", 4)
+    first, second = (3, 3, 2, 1), (0, 1, 2, 0)
+    s = planted_losses(4, [first, second])
+    want = scalar_scan(g, 4, s)
+    assert want[0] == second
+    report = verify_strategy(g, 4, s, threads=threads)
+    assert (report.counterexample, report.assignments_checked) == want
+
+
+def random_graph(data, max_n):
+    n = data.draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return custom_graph(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_matches_scalar_scan_on_random_graphs(data):
+    g = random_graph(data, 5)
+    q = data.draw(st.integers(1, 3))
+    tables = random_tables(g, q, random.Random(data.draw(st.integers(0, 2**31))))
+    if data.draw(st.booleans()):  # mostly-losing tables make early losses
+        tables = [[0] * len(t) for t in tables]
+    s = Strategy.from_lists(q, tables)
+    want_cex, want_checked = scalar_scan(g, q, s)
+    space = list(itertools.product(range(q), repeat=g.n_vertices))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game_module, "DEFAULT_CHUNK", data.draw(st.sampled_from([1, 2, 5, 10**6])))
+        for threads in (1, 2, 4):
+            report = verify_strategy(g, q, s, threads=threads)
+            assert report.counterexample == want_cex
+            assert report.wins == (want_cex is None)
+            assert report.assignments_checked == want_checked
+        assert correct_guess_counts(g, q, s).tolist() == scalar_counts(g, q, s, space)
+
+    rng = random.Random(data.draw(st.integers(0, 2**31)))
+    subset = [a for a in space if rng.random() < 0.4]
+    report = verify_strategy(g, q, s, restriction=subset)
+    want_cex, want_checked = scalar_scan(g, q, s, subset)
+    assert (report.counterexample, report.assignments_checked) == (want_cex, want_checked)
+    assert correct_guess_counts(g, q, s, restriction=subset).tolist() == \
+        scalar_counts(g, q, s, sorted(subset))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10**6])
+def test_kernel_with_an_isolated_vertex(monkeypatch, chunk):
+    monkeypatch.setattr(game_module, "DEFAULT_CHUNK", chunk)
+    g = custom_graph(4, [(0, 1), (1, 3)])  # vertex 2 sees nobody
+    assert g.degree(2) == 0
+    space = list(itertools.product(range(3), repeat=4))
+    for seed in range(20):
+        tables = random_tables(g, 3, random.Random(seed))
+        s = Strategy.from_lists(3, tables)
+        report = verify_strategy(g, 3, s, threads=2)
+        assert (report.counterexample, report.assignments_checked) == scalar_scan(g, 3, s)
+        assert correct_guess_counts(g, 3, s).tolist() == scalar_counts(g, 3, s, space)
+    # the isolated vertex guessing 1 wins exactly where c_2 = 1
+    s = Strategy.from_lists(3, [[0] * 3, [0] * 9, [1], [0] * 3])
+    assert correct_guess_counts(g, 3, s).tolist() == scalar_counts(g, 3, s, space)
+
+
+def test_kernel_with_one_color():
+    for n in range(1, 5):
+        g = build_graph("complete", n)
+        s = Strategy.from_lists(1, [[0]] * n)
+        assert verify_strategy(g, 1, s) == verify_strategy(g, 1, s, restriction=[(0,) * n])
+        report = verify_strategy(g, 1, s)
+        assert (report.wins, report.counterexample, report.assignments_checked) == (True, None, 1)
+        assert correct_guess_counts(g, 1, s).tolist() == [n]
+
+
+def test_zero_vertex_graph():
+    # one assignment, (), and nobody to guess it
+    g = custom_graph(0, [])
+    for q in (1, 2, 5):
+        s = Strategy.from_lists(q, [])
+        for report in (verify_strategy(g, q, s), verify_strategy(g, q, s, restriction=[()])):
+            assert (report.wins, report.counterexample, report.assignments_checked) == \
+                (False, (), 1)
+        assert correct_guess_counts(g, q, s).tolist() == [0]
+        assert correct_guess_counts(g, q, s, restriction=[()]).tolist() == [0]
+    assert search_strategy(g, 2).proven_unwinnable
+
+
+def test_verify_rejects_negative_guesses():
+    g = build_graph("complete", 2)
+    s = Strategy(2, (np.array([0, -1]), np.array([0, 0])))
+    with pytest.raises(ParameterError):
+        verify_strategy(g, 2, s)
 
 
 # --- solvable sets ----------------------------------------------------------
