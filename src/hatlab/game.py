@@ -41,6 +41,7 @@ DEFAULT_ASSIGNMENT_BUDGET = 10**9
 DEFAULT_SEARCH_BUDGET = 10**6
 DEFAULT_STRATEGY_SPACE_BUDGET = 10**8
 DEFAULT_CHUNK = 1 << 19  # cells of [q]^n per verification work item
+MAX_AXES = 64  # numpy's limit on the dimensions of one array
 
 GRAPH_FAMILIES = ("complete", "complete_bipartite", "book", "windmill", "custom")
 
@@ -169,16 +170,44 @@ class VerificationReport:
     assignments_checked: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolvableSet:
-    """Assignment set of a complete graph on which some strategy always wins."""
+    """Assignment set of a complete graph on which some strategy always wins.
+
+    `mask` is a bool tensor of shape (q,)*n in C order: mask[c_0, ..., c_{n-1}]
+    holds when (c_0, ..., c_{n-1}) is a member, the layout of [q]^n that the
+    verifier uses.
+    """
 
     n: int
     q: int
-    members: frozenset[ColorAssignment]
+    mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.mask.dtype != bool or self.mask.shape != (self.q,) * self.n:
+            raise ParameterError(
+                f"mask must be a bool tensor of shape {(self.q,) * self.n}, "
+                f"got {self.mask.dtype} {self.mask.shape}")
+
+    @property
+    def members(self) -> frozenset[ColorAssignment]:
+        return frozenset(map(tuple, np.argwhere(self.mask).tolist()))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SolvableSet):
+            return NotImplemented
+        return (self.n, self.q) == (other.n, other.q) and np.array_equal(self.mask, other.mask)
+
+
+def _digit_sums(values: np.ndarray, m: int) -> np.ndarray:
+    """sum_j values[c_j] for every (c_0, ..., c_{m-1}) in [q]^m, flat in C order."""
+    total = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        total = np.add.outer(total, values).ravel()
+    return total
 
 
 def _check_strategy_shape(g: Graph, q: int, s: Strategy) -> None:
@@ -199,6 +228,11 @@ def _check_strategy_shape(g: Graph, q: int, s: Strategy) -> None:
             raise ParameterError(f"vertex {v}: guess out of color range [{q}]")
 
 
+def _axes_guard(axes: int, what: str) -> None:
+    if axes > MAX_AXES:
+        raise InfeasibleError(f"{what} needs {axes} tensor axes; numpy supports {MAX_AXES}")
+
+
 def _guess_tensors(g: Graph, s: Strategy) -> list[np.ndarray]:
     """Every vertex's table as a C-order tensor with one size-q axis per neighbor.
 
@@ -208,6 +242,7 @@ def _guess_tensors(g: Graph, s: Strategy) -> list[np.ndarray]:
     sweeping [q]^n in C order reads each table sequentially (three times
     faster than reading the view, for one copy of the strategy).
     """
+    _axes_guard(max(map(len, g.adjacency), default=0), "a guess tensor")
     return [np.ascontiguousarray(t.reshape((s.q,) * g.degree(v)).T)
             for v, t in enumerate(s.tables)]
 
@@ -297,6 +332,7 @@ def verify_strategy(
         raise InfeasibleError(
             f"{total} assignments exceed budget {budget}", required=total)
     p = _leading_axes(q, n)
+    _axes_guard(n - p, "a chunk")
     cells = q ** (n - p)
 
     def work(chunk: int) -> int | None:
@@ -336,6 +372,7 @@ def correct_guess_counts(
         total = q**n
         if total > budget:
             raise InfeasibleError(f"{total} assignments exceed budget {budget}", required=total)
+        _axes_guard(n, "the count tensor")
         counts, hits = np.zeros((q,) * n, dtype=np.int64), _chunk_hits(g, guesses, q, ())
     for hit in hits:
         counts += hit
@@ -370,11 +407,7 @@ def sum_target_strategy(m: int, q: int, targets: Sequence[int]) -> Strategy:
         raise ParameterError(f"need {m} targets, got {len(targets)}")
     if any(not (0 <= t < q) for t in targets):
         raise ParameterError("targets must be residues in [q]")
-    size = q ** (m - 1)
-    idx = np.arange(size, dtype=np.int64)
-    digit_sum = np.zeros(size, dtype=np.int64)
-    for j in range(m - 1):
-        digit_sum += (idx // q**j) % q
+    digit_sum = _digit_sums(np.arange(q), m - 1)  # symmetric, so in any digit order
     dt = np.min_scalar_type(max(q - 1, 1))
     tables = tuple(((t - digit_sum) % q).astype(dt) for t in targets)
     return Strategy(q, tables)
@@ -391,9 +424,8 @@ def solvable_interval_set(n: int, q: int) -> tuple[SolvableSet, Strategy]:
     """Largest-possible solvable set on K_n with q >= n colors: sums in [n]."""
     if not 1 <= n <= q:
         raise ParameterError(f"need 1 <= n <= q (got n={n}, q={q})")
-    members = frozenset(
-        x for x in itertools.product(range(q), repeat=n) if sum(x) % q < n)
-    return SolvableSet(n, q, members), sum_target_strategy(n, q, list(range(n)))
+    mask = (_digit_sums(np.arange(q), n) % q < n).reshape((q,) * n)
+    return SolvableSet(n, q, mask), sum_target_strategy(n, q, list(range(n)))
 
 
 def max_solvable_set_search(
@@ -620,6 +652,16 @@ def _file_table(values: object, v: int) -> np.ndarray:
         raise ParameterError(f"vertex {v}: table entry out of range: {exc}") from exc
 
 
+def _file_strategy(tables: object, q: int, where: str) -> Strategy:
+    """Guess tables from a file: a list of flat integer lists of colors in [q]."""
+    if not isinstance(tables, list):
+        raise ParameterError(f"{where}: tables must be a list")
+    arrays = [_file_table(t, v) for v, t in enumerate(tables)]
+    if any(t.size and (t.min() < 0 or t.max() >= q) for t in arrays):
+        raise ParameterError(f"{where}: guesses must be colors in [{q}]")
+    return Strategy.from_lists(q, arrays)
+
+
 def read_strategy_file(path: str) -> tuple[Graph, int, Strategy]:
     with open(path) as fh:
         payload = json.load(fh)
@@ -630,13 +672,8 @@ def read_strategy_file(path: str) -> tuple[Graph, int, Strategy]:
         tables = payload["tables"]
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed strategy file {path}: {exc}") from exc
-    if not isinstance(tables, list):
-        raise ParameterError(f"malformed strategy file {path}: tables must be a list")
     g = _graph_from_spec(family, params)
-    arrays = [_file_table(t, v) for v, t in enumerate(tables)]
-    if any(t.size and (t.min() < 0 or t.max() >= q) for t in arrays):
-        raise ParameterError(f"strategy file {path}: guesses must be colors in [{q}]")
-    s = Strategy.from_lists(q, arrays)
+    s = _file_strategy(tables, q, f"strategy file {path}")
     _check_strategy_shape(g, q, s)
     return g, q, s
 

@@ -8,7 +8,8 @@ pairwise disjoint, the axle guesses the index of the product class the
 observed blade colors fall into (leftovers go to class 0), and each blade
 runs the strategy of S_{axle color, blade}.  Whatever the axle's true color
 i is, either some blade's colors landed in S_{i,j} (that blade wins) or the
-whole tuple is in P_i (the axle wins).
+whole tuple is in P_i (the axle wins).  Each S_{i,j} is a game.SolvableSet,
+a C-order boolean mask over [q]^(k-1).
 
 Two certificate families are built here: a parity certificate with q = 2k-2
 colors (products indexed by binary digits, factors are the halves of a
@@ -26,45 +27,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificateError, InfeasibleError, ParameterError
-from .game import SolvableSet, Strategy, sum_target_strategy
+from .errors import CertificateError, InfeasibleError, ParameterError, file_int
+from .game import MAX_AXES, SolvableSet, Strategy, _digit_sums, _file_strategy, sum_target_strategy
 
-MAX_MEMBER_ENUMERATION = 10**7
+MAX_MEMBER_ENUMERATION = 10**7  # cap on the cells of one solvable-set mask
+
+
+def _cells_guard(q: int, m: int) -> None:
+    if m > MAX_AXES or q**m > MAX_MEMBER_ENUMERATION:
+        raise InfeasibleError(f"[{q}]^{m} exceeds the {MAX_MEMBER_ENUMERATION}-cell mask cap")
 
 
 # ---------------------------------------------------------------------------
 # parity sets
 
 
-@dataclass(frozen=True)
-class ParitySet:
-    """Half of [2k-2]^(k-1): tuples whose count of upper-range digits is odd."""
-
-    k: int
-    q: int
-    members: frozenset[tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def _parity_guard(k: int) -> int:
     if k < 2:
         raise ParameterError("need k >= 2")
     q = 2 * k - 2
-    if q ** (k - 1) > MAX_MEMBER_ENUMERATION:
-        raise InfeasibleError(f"{q ** (k - 1)} tuples exceed enumeration support")
+    _cells_guard(q, k - 1)
     return q
 
 
-def parity_set(k: int) -> ParitySet:
-    """Union of the subcubes C_v over odd-weight v: digit i lies in
-    [(k-1)v_i, (k-1)(v_i+1)).  Exactly half of all tuples."""
+def parity_set(k: int) -> SolvableSet:
+    """Half of [2k-2]^(k-1): the union of the subcubes C_v over odd-weight v,
+    where digit i lies in [(k-1)v_i, (k-1)(v_i+1))."""
     q = _parity_guard(k)
-    members = frozenset(
-        x for x in itertools.product(range(q), repeat=k - 1)
-        if sum(c >= k - 1 for c in x) % 2 == 1)
-    return ParitySet(k, q, members)
+    upper = _digit_sums(np.arange(q) // (k - 1), k - 1)
+    return SolvableSet(k - 1, q, (upper % 2 == 1).reshape((q,) * (k - 1)))
 
 
 def parity_set_strategy(k: int, side: str) -> tuple[SolvableSet, Strategy]:
@@ -77,32 +68,27 @@ def parity_set_strategy(k: int, side: str) -> tuple[SolvableSet, Strategy]:
     """
     if side not in ("odd", "even"):
         raise ParameterError(f"side must be 'odd' or 'even', got {side!r}")
-    q = _parity_guard(k)
     want = 1 if side == "odd" else 0
-    ps = parity_set(k)
-    members = ps.members if side == "odd" else frozenset(
-        x for x in itertools.product(range(q), repeat=k - 1)) - ps.members
-
-    m = k - 1
-    size = q ** (m - 1)
-    idx = np.arange(size, dtype=np.int64)
-    vsum = np.zeros(size, dtype=np.int64)
-    ysum = np.zeros(size, dtype=np.int64)
-    for j in range(m - 1):
-        digit = (idx // q**j) % q
-        vsum += digit // (k - 1)
-        ysum += digit % (k - 1)
+    odd = parity_set(k)
+    q, m = odd.q, k - 1
+    # the mates' digits in any order: only their sums enter the guesses
+    vsum = _digit_sums(np.arange(q) // (k - 1), m - 1)
+    ysum = _digit_sums(np.arange(q) % (k - 1), m - 1)
     dt = np.min_scalar_type(q - 1)
     tables = []
     for i in range(m):
         v_i = (want - vsum) % 2
         y_i = (i - ysum) % (k - 1)
         tables.append((y_i + (k - 1) * v_i).astype(dt))
-    return SolvableSet(m, q, members), Strategy(q, tuple(tables))
+    solvable = odd if side == "odd" else SolvableSet(m, q, ~odd.mask)
+    return solvable, Strategy(q, tuple(tables))
 
 
 # ---------------------------------------------------------------------------
 # difference-disjoint residue families
+
+PAIRWISE_MAX_PAIRS = 1 << 24  # difference sets up to this many pairs skip the FFT
+FFT_MAX_MODULUS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,11 +139,19 @@ def _difference_indicator(members: Sequence[int], m: int) -> np.ndarray:
     a = np.fromiter(members, dtype=np.int64, count=len(members))
     if len(a) == 0:
         return np.zeros(m, dtype=bool)
-    if len(a) * len(a) <= 1 << 24:
+    if len(a) * len(a) <= PAIRWISE_MAX_PAIRS:
         diffs = (a[:, None] - a[None, :]).ravel() % m
         return np.bincount(diffs, minlength=m) > 0
-    # large sets: circular autocorrelation of the indicator; counts are
-    # integers <= |A|, far above float64 noise, so rounding is exact
+    # Large sets: circular autocorrelation of the 0/1 indicator, whose exact
+    # entries are the counts #{(a, b) in A^2 : a - b = r}.  Higham, "Accuracy
+    # and Stability of Numerical Algorithms" (2nd ed.), §24.1, Thm 24.2: a
+    # computed length-m FFT is within eps = log2(m) eta / (1 - log2(m) eta)
+    # in relative 2-norm, eta ~ 7u, u = 2^-53.  With s = |A| ones, |X_j| <= s
+    # and ||X||_2 = sqrt(m s), so each count comes out within 3 eps s^1.5 <
+    # 2^-14 of its integer for m <= 2^20 (mixed-radix and Bluestein lengths
+    # add small constant factors): the 0.5 cut between 0 and 1 is exact.
+    if m > FFT_MAX_MODULUS:
+        raise InfeasibleError(f"FFT correlation is proven exact only for m <= {FFT_MAX_MODULUS}")
     ind = np.zeros(m, dtype=np.float64)
     ind[a] = 1.0
     freq = np.fft.rfft(ind)
@@ -238,12 +232,11 @@ def sum_avoid_set(a: ResidueSet, k: int, q: int) -> tuple[SolvableSet, Strategy]
     if len(targets) != k - 1:
         raise ParameterError(
             f"need q - |A| = k - 1 (q={q}, |A|={len(a)}, k={k})")
-    if q ** (k - 1) > MAX_MEMBER_ENUMERATION:
-        raise InfeasibleError(f"{q ** (k - 1)} tuples exceed enumeration support")
-    members = frozenset(
-        x for x in itertools.product(range(q), repeat=k - 1)
-        if sum(x) % q not in a.members)
-    return SolvableSet(k - 1, q, members), sum_target_strategy(k - 1, q, targets)
+    _cells_guard(q, k - 1)
+    allowed = np.ones(q, dtype=bool)
+    allowed[list(a.members)] = False
+    mask = allowed[_digit_sums(np.arange(q), k - 1) % q].reshape((q,) * (k - 1))
+    return SolvableSet(k - 1, q, mask), sum_target_strategy(k - 1, q, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +329,24 @@ def certificate_disjointness_check(cert: ProductCertificate) -> bool:
     """Products are boxes, so two are disjoint iff some blade's factors are;
     a factor pair is disjoint iff the two solvable sets union to everything."""
     validate_certificate(cert)
-    grid_size = cert.q ** (cert.k - 1)
     for p1, p2 in itertools.combinations(cert.products, 2):
-        if not any(
-            len(p1[j].solvable.members | p2[j].solvable.members) == grid_size
-            for j in range(cert.n)
-        ):
+        if not any((a.solvable.mask | b.solvable.mask).all() for a, b in zip(p1, p2)):
             return False
     return True
 
 
 def certificate_blade_check(cert: ProductCertificate) -> bool:
-    """Every piece's strategy must win restricted to its solvable set."""
-    from .game import build_graph, verify_strategy
+    """Every piece's strategy must win restricted to its solvable set: some
+    player guesses right on every cell of the mask."""
+    from .game import build_graph, correct_guess_counts
 
     validate_certificate(cert)
     g = build_graph("complete", cert.k - 1)
     for product in cert.products:
         for piece in product:
-            report = verify_strategy(g, cert.q, piece.strategy,
-                                     restriction=piece.solvable.members)
-            if not report.wins:
+            counts = correct_guess_counts(g, cert.q, piece.strategy,
+                                          budget=MAX_MEMBER_ENUMERATION)
+            if not counts[piece.solvable.mask.ravel()].all():
                 return False
     return True
 
@@ -369,47 +359,26 @@ def _blade_vertices(k: int, n: int, j: int) -> list[int]:
     return [1 + j * (k - 1) + t for t in range(k - 1)]
 
 
-def _membership_masks(cert: ProductCertificate) -> list[np.ndarray]:
-    """Per blade: uint64 array over blade-color cells, bit i set when the
-    cell belongs to S_{i,blade}."""
-    if cert.q > 53:
-        raise InfeasibleError("membership bitmasks support q <= 53")
-    m = cert.k - 1
-    q = cert.q
-    out = []
-    for j in range(cert.n):
-        arr = np.zeros(q**m, dtype=np.uint64)
-        for i in range(q):
-            bit = np.uint64(1 << i)
-            for x in cert.products[i][j].solvable.members:
-                cell = sum(c * q**t for t, c in enumerate(x))
-                arr[cell] |= bit
-        out.append(arr)
-    return out
-
-
 def _blade_flat_tables(cert: ProductCertificate) -> list[list[np.ndarray]]:
     """flat[j][t][a0 + q * mate_idx]: blade j vertex t's guess when the axle
     shows a0 — the class dispatch baked into one table."""
-    q = cert.q
-    out = []
-    for j in range(cert.n):
-        per_vertex = []
-        for t in range(cert.k - 1):
-            stacked = np.stack(
-                [cert.products[a0][j].strategy.tables[t] for a0 in range(q)], axis=1)
-            per_vertex.append(np.ascontiguousarray(stacked).reshape(-1))
-        out.append(per_vertex)
-    return out
+    return [[np.stack([p[j].strategy.tables[t] for p in cert.products], axis=1).ravel()
+             for t in range(cert.k - 1)] for j in range(cert.n)]
 
 
-def _classes_from_masks(notin: np.ndarray) -> np.ndarray:
-    """notin holds 0 or a single power of two per sample; map to class index
-    (log2), with uncovered tuples going to class 0."""
-    cls = np.zeros(len(notin), dtype=np.int64)
-    nz = notin != 0
-    cls[nz] = np.log2(notin[nz].astype(np.float64)).astype(np.int64)
-    return cls
+def _product_box(cert: ProductCertificate, i: int) -> np.ndarray:
+    """Color i's product over the C-order axle tensor (q^(k-1),)*n.
+
+    The axle reads blade vertex t as base-q digit t of its blade's cell, so a
+    blade's cells are its mask raveled in F order, and blade j, the (j+1)-th
+    least significant base-q^(k-1) digit of the axle index, is axis n-1-j.
+    """
+    n, side = cert.n, cert.q ** (cert.k - 1)
+    box = np.ones((1,) * n, dtype=bool)
+    for j, piece in enumerate(cert.products[i]):
+        outside = ~piece.solvable.mask.ravel(order="F")
+        box = box & outside.reshape([side if a == n - 1 - j else 1 for a in range(n)])
+    return box
 
 
 def assemble_windmill_strategy(
@@ -432,26 +401,15 @@ def assemble_windmill_strategy(
             f"axle table needs {axle_size} entries (> {max_axle_table})",
             required=axle_size)
 
-    memb = _membership_masks(cert)
     dt = np.min_scalar_type(q - 1)
-    axle = np.empty(axle_size, dtype=dt)
-    full_bits = np.uint64((1 << q) - 1)
-    chunk = 1 << 20
-    for lo in range(0, axle_size, chunk):
-        hi = min(lo + chunk, axle_size)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        notin = np.full(hi - lo, full_bits, dtype=np.uint64)
-        for j in range(n):
-            sub = (idx // q ** (m * j)) % q**m
-            notin &= ~memb[j][sub]
-        axle[lo:hi] = _classes_from_masks(notin).astype(dt)
+    # the products are disjoint, so each cell is in at most one box; cells in
+    # none keep the fill, class 0 (as do the cells of box 0)
+    axle = np.zeros((q**m,) * n, dtype=dt)
+    for i in range(1, q):
+        np.copyto(axle, i, where=_product_box(cert, i))
 
-    tables: list[np.ndarray] = [axle]
-    flat = _blade_flat_tables(cert)
-    for j in range(n):
-        for t in range(m):
-            tables.append(flat[j][t].astype(dt))
-    return Strategy(q, tuple(tables))
+    blades = [t.astype(dt) for per_vertex in _blade_flat_tables(cert) for t in per_vertex]
+    return Strategy(q, (axle.ravel(), *blades))
 
 
 def windmill_guesses(cert: ProductCertificate, assignment: Sequence[int]) -> tuple[int, ...]:
@@ -460,24 +418,21 @@ def windmill_guesses(cert: ProductCertificate, assignment: Sequence[int]) -> tup
     k, n, q = cert.k, cert.n, cert.q
     if len(assignment) != 1 + (k - 1) * n:
         raise ParameterError("assignment length does not match the windmill")
+    if any(not 0 <= c < q for c in assignment):
+        raise ParameterError(f"assignment uses colors outside [{q}]")
     a0 = assignment[0]
     blades = [tuple(assignment[v] for v in _blade_vertices(k, n, j)) for j in range(n)]
     cls = 0
     for i in range(q):
-        if all(blades[j] not in cert.products[i][j].solvable.members for j in range(n)):
+        if not any(cert.products[i][j].solvable.mask[blades[j]] for j in range(n)):
             cls = i
             break
     guesses = [cls]
     for j in range(n):
-        strat = cert.products[a0][j].strategy
+        tables = cert.products[a0][j].strategy.tables
         for t in range(k - 1):
-            idx = 0
-            mul = 1
-            for s in range(k - 1):
-                if s != t:
-                    idx += blades[j][s] * mul
-                    mul *= q
-            guesses.append(int(strat.tables[t][idx]))
+            mates = blades[j][:t] + blades[j][t + 1:]
+            guesses.append(int(tables[t][sum(c * q**r for r, c in enumerate(mates))]))
     return tuple(guesses)
 
 
@@ -496,7 +451,6 @@ def certificate_random_loss_check(
     m = k - 1
     n_vertices = 1 + m * n
     rng = np.random.default_rng(seed)
-    memb = _membership_masks(cert)
     flat = _blade_flat_tables(cert)
 
     losses = 0
@@ -506,26 +460,18 @@ def certificate_random_loss_check(
         t_now = min(chunk, remaining)
         remaining -= t_now
         colors = rng.integers(0, q, size=(t_now, n_vertices), dtype=np.int64)
-        notin = np.full(t_now, np.uint64((1 << q) - 1), dtype=np.uint64)
-        cells = []
-        for j in range(n):
-            cell = np.zeros(t_now, dtype=np.int64)
-            for t, v in enumerate(_blade_vertices(k, n, j)):
-                cell += colors[:, v] * q**t
-            cells.append(cell)
-            notin &= ~memb[j][cell]
-        correct = _classes_from_masks(notin) == colors[:, 0]
-        for j in range(n):
-            verts = _blade_vertices(k, n, j)
-            for t, v in enumerate(verts):
-                mate_idx = np.zeros(t_now, dtype=np.int64)
-                mul = 1
-                for s, u in enumerate(verts):
-                    if s != t:
-                        mate_idx += colors[:, u] * mul
-                        mul *= q
-                guess = flat[j][t][colors[:, 0] + q * mate_idx]
-                correct |= guess == colors[:, v]
+        blades = [tuple(colors[:, v] for v in _blade_vertices(k, n, j)) for j in range(n)]
+        in_product = np.ones((q, t_now), dtype=bool)
+        for i, product in enumerate(cert.products):
+            for piece, cols in zip(product, blades):
+                in_product[i] &= ~piece.solvable.mask[cols]
+        # argmax finds the first True, or 0 when there is none: leftovers
+        # go to class 0, as in the assembled axle table
+        correct = np.argmax(in_product, axis=0) == colors[:, 0]
+        for j, cols in enumerate(blades):
+            for t in range(m):
+                seen = (colors[:, 0],) + cols[:t] + cols[t + 1:]
+                correct |= flat[j][t][sum(c * q**r for r, c in enumerate(seen))] == cols[t]
         losses += int(t_now - np.count_nonzero(correct))
     return losses
 
@@ -578,7 +524,7 @@ def write_certificate_file(path: str, cert: ProductCertificate) -> None:
         "products": [
             [
                 {
-                    "set": [list(x) for x in sorted(piece.solvable.members)],
+                    "set": np.argwhere(piece.solvable.mask).tolist(),
                     "strategy": piece.strategy.table_lists(),
                 }
                 for piece in product
@@ -591,22 +537,34 @@ def write_certificate_file(path: str, cert: ProductCertificate) -> None:
         fh.write("\n")
 
 
+def _file_mask(rows: list, m: int, q: int) -> np.ndarray:
+    """A solvable set's member list from a file, as a mask over [q]^m."""
+    mask = np.zeros((q,) * m, dtype=bool)
+    for x in rows:
+        if not isinstance(x, list) or len(x) != m:
+            raise ParameterError(f"set member {x!r} is not a list of {m} colors")
+        cell = tuple(file_int(c, "set coordinate") for c in x)
+        if any(not 0 <= c < q for c in cell):
+            raise ParameterError(f"set member {x!r} uses colors outside [{q}]")
+        mask[cell] = True
+    return mask
+
+
 def read_certificate_file(path: str) -> ProductCertificate:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        k, n, q = int(payload["k"]), int(payload["n"]), int(payload["q"])
-        products = []
-        for product in payload["products"]:
-            blades = []
-            for piece in product:
-                members = frozenset(tuple(int(c) for c in x) for x in piece["set"])
-                blades.append(BladePiece(
-                    SolvableSet(k - 1, q, members),
-                    Strategy.from_lists(q, piece["strategy"])))
-            products.append(tuple(blades))
+        k, n, q = (file_int(payload[key], key) for key in ("k", "n", "q"))
+        if k < 2 or n < 1 or q < 1:
+            raise ParameterError(f"certificate file {path}: need k >= 2, n >= 1, q >= 1")
+        _cells_guard(q, k - 1)
+        products = tuple(
+            tuple(BladePiece(SolvableSet(k - 1, q, _file_mask(piece["set"], k - 1, q)),
+                             _file_strategy(piece["strategy"], q, f"certificate file {path}"))
+                  for piece in product)
+            for product in payload["products"])
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed certificate file {path}: {exc}") from exc
-    cert = ProductCertificate(k, n, q, tuple(products))
+    cert = ProductCertificate(k, n, q, products)
     validate_certificate(cert)
     return cert

@@ -287,3 +287,13 @@ def test_bad_table_entries_are_usage_errors(capsys, tmp_path, entry):
     payload["tables"][0][1] = entry
     path.write_text(json.dumps(payload))
     assert_one_error_line(capsys, ["verify", "-g", "complete:2", "-q", "2", "-s", str(path)])
+
+
+def test_numpy_axis_cap_is_infeasible(capsys, tmp_path):
+    # 70 one-entry tables at q=1: each guess tensor would need 69 axes
+    path = tmp_path / "k70.json"
+    path.write_text(json.dumps({"graph": {"family": "complete", "params": [70]},
+                                "q": 1, "tables": [[0]] * 70}))
+    code, reports = run(capsys, "verify", "-g", "complete:70", "-q", "1", "-s", str(path))
+    assert code == 3
+    assert len(reports) == 1 and reports[0]["status"] == "infeasible"

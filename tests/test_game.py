@@ -19,6 +19,7 @@ import hatlab.game as game_module
 from hatlab import (
     InfeasibleError,
     ParameterError,
+    SolvableSet,
     Strategy,
     build_graph,
     complete_sum_strategy,
@@ -366,6 +367,25 @@ def test_zero_vertex_graph():
     assert search_strategy(g, 2).proven_unwinnable
 
 
+def test_kernel_refuses_more_than_64_axes():
+    # numpy arrays have at most 64 axes: a degree-69 guess tensor, or a
+    # 70-axis chunk of [1]^70, is infeasible rather than a numpy ValueError
+    k70 = build_graph("complete", 70)
+    s = Strategy.from_lists(1, [[0]] * 70)
+    for call in (lambda: verify_strategy(k70, 1, s),
+                 lambda: verify_strategy(k70, 1, s, restriction=[(0,) * 70]),
+                 lambda: correct_guess_counts(k70, 1, s)):
+        with pytest.raises(InfeasibleError):
+            call()
+    empty = custom_graph(70, [])
+    for call in (lambda: verify_strategy(empty, 1, s),
+                 lambda: correct_guess_counts(empty, 1, s)):
+        with pytest.raises(InfeasibleError):
+            call()
+    # without a chunk, tensors over neighbor axes only still fit
+    assert verify_strategy(empty, 1, s, restriction=[(0,) * 70]).wins
+
+
 def test_verify_rejects_negative_guesses():
     g = build_graph("complete", 2)
     s = Strategy(2, (np.array([0, -1]), np.array([0, 0])))
@@ -390,6 +410,23 @@ def test_interval_set_loses_outside_itself():
     outside = frozenset(itertools.product(range(3), repeat=2)) - solvable.members
     report = verify_strategy(g, 3, strat, restriction=outside)
     assert not report.wins
+
+
+def test_solvable_set_is_a_c_order_mask():
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[0, 2] = mask[2, 1] = True
+    a = SolvableSet(2, 3, mask)
+    assert a.members == frozenset({(0, 2), (2, 1)}) and len(a) == 2
+    assert a == SolvableSet(2, 3, mask.copy())
+    assert a != SolvableSet(2, 3, mask.T.copy())
+    assert a != SolvableSet(1, 9, mask.reshape(9))
+    for bad in (mask.reshape(9), mask.astype(np.uint8), np.zeros((3, 4), dtype=bool)):
+        with pytest.raises(ParameterError):
+            SolvableSet(2, 3, bad)
+    # the vectorised interval set against enumeration
+    for n, q in ((1, 1), (2, 3), (3, 4)):
+        got = solvable_interval_set(n, q)[0].members
+        assert got == {x for x in itertools.product(range(q), repeat=n) if sum(x) % q < n}
 
 
 def test_max_solvable_set_search_small():

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hatlab.windmill as windmill_module
 from hatlab import (
     BladePiece,
     CertificateError,
@@ -16,6 +20,8 @@ from hatlab import (
     ParameterError,
     ProductCertificate,
     ResidueSet,
+    SolvableSet,
+    Strategy,
     assemble_windmill_strategy,
     build_graph,
     certificate_blade_check,
@@ -38,6 +44,7 @@ from hatlab import (
     windmill_guesses,
     write_certificate_file,
 )
+from hatlab.cli import main
 from hatlab.windmill import _difference_indicator
 
 
@@ -104,17 +111,23 @@ def test_difference_disjointness_counterexample():
     assert not is_difference_disjoint(sets, 8)
 
 
-def test_difference_indicator_fft_matches_pairwise():
+def test_difference_indicator_fft_matches_pairwise(monkeypatch):
     rng = random.Random(3)
-    m = 64
-    for _ in range(20):
-        members = sorted(rng.sample(range(m), rng.randrange(1, m)))
-        pairwise = _difference_indicator(members, m)
-        direct = [False] * m
-        for a in members:
-            for b in members:
-                direct[(a - b) % m] = True
-        assert pairwise.tolist() == direct
+    # the default threshold takes the pairwise path here, 0 forces the FFT
+    for threshold in (windmill_module.PAIRWISE_MAX_PAIRS, 0):
+        monkeypatch.setattr(windmill_module, "PAIRWISE_MAX_PAIRS", threshold)
+        for m in (64, 81, 97):
+            for _ in range(20):
+                members = sorted(rng.sample(range(m), rng.randrange(1, m)))
+                got = _difference_indicator(members, m)
+                direct = [False] * m
+                for a in members:
+                    for b in members:
+                        direct[(a - b) % m] = True
+                assert got.tolist() == direct
+    # past the proven error bound the FFT path refuses
+    with pytest.raises(InfeasibleError):
+        _difference_indicator([0, 1], windmill_module.FFT_MAX_MODULUS + 1)
 
 
 def test_translate_intersection_exhaustive_oracle():
@@ -151,6 +164,19 @@ def test_sum_avoid_set_wins_and_sizes():
     assert verify_strategy(g, 4, strat, restriction=solvable.members).wins
     for x in solvable.members:
         assert sum(x) % 4 not in a.members
+
+
+def test_set_masks_match_enumeration():
+    for k in (2, 3, 4):
+        q = 2 * k - 2
+        odd = {x for x in itertools.product(range(q), repeat=k - 1)
+               if sum(c >= k - 1 for c in x) % 2 == 1}
+        assert parity_set(k).members == odd
+        assert parity_set_strategy(k, "even")[0].members == \
+            set(itertools.product(range(q), repeat=k - 1)) - odd
+    a = ResidueSet(5, frozenset({1, 4}))
+    assert sum_avoid_set(a, 4, 5)[0].members == \
+        {x for x in itertools.product(range(5), repeat=3) if sum(x) % 5 not in (1, 4)}
 
 
 def test_sum_avoid_set_needs_matching_count():
@@ -254,6 +280,48 @@ def test_windmill_guesses_match_assembled_tables(data):
         strategy_guesses(g, cert.q, strat, assignment)
 
 
+def permuted_parity_certificate(pi):
+    """product_certificate_parity(3, 2) with color permutation pi applied to
+    coordinate 0 of every set: its sets are no longer symmetric under
+    swapping coordinates, so an axis-order mix-up cannot cancel out."""
+    cert = product_certificate_parity(3, 2)
+    pi = np.asarray(pi)
+    inv = np.argsort(pi)
+    products = []
+    for product in cert.products:
+        blades = []
+        for piece in product:
+            t0, t1 = piece.strategy.tables
+            blades.append(BladePiece(
+                SolvableSet(2, cert.q, piece.solvable.mask[inv]),
+                Strategy(cert.q, (pi[t0].astype(t0.dtype), t1[inv]))))
+        products.append(tuple(blades))
+    return ProductCertificate(cert.k, cert.n, cert.q, tuple(products))
+
+
+def test_asymmetric_certificate_fixes_the_mask_axis_order(tmp_path):
+    cert = permuted_parity_certificate([1, 2, 3, 0])
+    mask = cert.products[0][0].solvable.mask
+    assert not np.array_equal(mask, mask.T)
+    assert certificate_blade_check(cert)
+    assert certificate_disjointness_check(cert)
+    g = build_graph("windmill", cert.k, cert.n)
+    strat = assemble_windmill_strategy(cert)
+    assert verify_strategy(g, cert.q, strat).wins
+    rng = random.Random(7)
+    for _ in range(200):
+        a = tuple(rng.randrange(cert.q) for _ in range(g.n_vertices))
+        assert windmill_guesses(cert, a) == strategy_guesses(g, cert.q, strat, a)
+    assert certificate_random_loss_check(cert, 4000, seed=2) == 0
+    with pytest.raises(ParameterError):
+        windmill_guesses(cert, (0, 0, 0, 0, cert.q))
+    path = tmp_path / "cert.json"
+    write_certificate_file(str(path), cert)
+    back = read_certificate_file(str(path))
+    assert [[p.solvable for p in product] for product in back.products] == \
+        [[p.solvable for p in product] for product in cert.products]
+
+
 # --- counting ---------------------------------------------------------------
 
 
@@ -294,3 +362,69 @@ def test_certificate_file_rejects_garbage(tmp_path):
     path.write_text('{"k": 3, "n": 2, "q": 4}')
     with pytest.raises(ParameterError):
         read_certificate_file(str(path))
+
+
+def mangled(tmp_path, edit):
+    """A written parity certificate (k=3, n=2, q=4) with `edit` applied."""
+    path = tmp_path / "cert.json"
+    write_certificate_file(str(path), product_certificate_parity(3, 2))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def set_first_entry(key, value):
+    def edit(payload):
+        payload["products"][0][0][key][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    set_first_entry("strategy", -1),
+    set_first_entry("strategy", 9),
+    set_first_entry("set", -1),
+    set_first_entry("set", 7),
+    set_first_entry("set", 1.5),
+    set_first_entry("set", True),
+    lambda p: p["products"][0][0]["set"][0].append(0),
+    lambda p: p.update(k="3"),
+], ids=["guess-negative", "guess-9-at-q4", "coordinate-negative", "coordinate-7-at-q4",
+        "coordinate-float", "coordinate-bool", "member-wrong-length", "k-string"])
+def test_certificate_file_rejects_bad_values(tmp_path, edit):
+    with pytest.raises(ParameterError):
+        read_certificate_file(mangled(tmp_path, edit))
+
+
+def test_certificate_file_refuses_oversized_masks(tmp_path):
+    path = mangled(tmp_path, lambda p: p.update(k=200))
+    with pytest.raises(InfeasibleError):
+        read_certificate_file(path)
+
+
+# --- byte pins --------------------------------------------------------------
+# sha256 of files and tables as the builders wrote them before solvable sets
+# became masks; any change to assembly or the file formats shows here.
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["windmill-2k2", "-k", "3", "-n", "2"],
+     "d39f75be27264a094e8ccc572506f5aa184583fa06a866b6d6b8ba2725eea856"),
+    (["windmill-2k2", "-k", "3", "-n", "2", "--certificate"],
+     "628f937f3b7cbc7d2dd5d7fb2ecd08d614d608410c84281ecdda3f93b248a1f2"),
+    (["windmill-dn", "-d", "2", "-n", "2"],
+     "3f3cff05a1883e9f320af841df232329e21bf2b9f3c55debac47fe7061bd0f6e"),
+    (["windmill-dn", "-d", "2", "-n", "3", "--certificate"],
+     "55624706be9c091710af9a095d649617f46bfd250be6cddaa4794dcd9c968b7e"),
+])
+def test_constructed_files_are_byte_stable(capsys, tmp_path, argv, digest):
+    out = tmp_path / "f.json"
+    assert main(["construct", *argv, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_w43_tables_are_byte_stable():
+    strat = assemble_windmill_strategy(product_certificate_parity(4, 3))
+    digest = hashlib.sha256(b"".join(t.tobytes() for t in strat.tables)).hexdigest()
+    assert digest == "0055be0b218d8dbe35cd2192ff3a7872c5d0a304722a2a156035c7da987b050a"
