@@ -120,6 +120,8 @@ def _lemma_h_lower(args: argparse.Namespace) -> LemmaResult:
 
 
 def _lemma_noncoverable(args: argparse.Namespace) -> LemmaResult:
+    if args.d is None:
+        raise ParameterError("noncoverable needs -d")
     # raises if its own matching check unexpectedly finds a cover
     s = cover.noncoverable_construction(args.d)
     return ("verified", {"d": args.d, "size": len(s.points), "noncoverable": True})
@@ -163,6 +165,8 @@ def _lemma_difference_disjoint(args: argparse.Namespace) -> LemmaResult:
 
 
 def _lemma_parity(args: argparse.Namespace) -> LemmaResult:
+    if args.k is None:
+        raise ParameterError("parity needs -k")
     k = args.k
     q = 2 * k - 2
     g = game.build_graph("complete", k - 1)

@@ -277,6 +277,8 @@ def coverability_sweep(
     """
     if d < 1:
         raise ParameterError("need d >= 1")
+    if trials < 0:
+        raise ParameterError(f"trials must be >= 0, got {trials}")
     t = sum(i**i for i in range(1, d + 1))
     failures: list[PointSet] = []
     checked = 0

@@ -42,6 +42,8 @@ DEFAULT_SEARCH_BUDGET = 10**6
 DEFAULT_STRATEGY_SPACE_BUDGET = 10**8
 DEFAULT_CHUNK = 1 << 19  # cells of [q]^n per verification work item
 MAX_AXES = 64  # numpy's limit on the dimensions of one array
+MAX_VERTICES = 10**4  # graphs past either cap are refused before they are built
+MAX_EDGES = 10**5
 
 GRAPH_FAMILIES = ("complete", "complete_bipartite", "book", "windmill", "custom")
 
@@ -67,8 +69,13 @@ class Graph:
         return [(u, v) for u in range(self.n_vertices) for v in self.adjacency[u] if u < v]
 
 
-def _graph_from_edges(family: str, params: tuple[int, ...], n: int,
+def _graph_from_edges(family: str, params: tuple[int, ...], n: int, n_edges: int,
                       edges: Iterable[tuple[int, int]]) -> Graph:
+    """`n_edges` is the length of `edges`, so the caps hold before it is walked."""
+    if n > MAX_VERTICES or n_edges > MAX_EDGES:
+        raise InfeasibleError(
+            f"{family} graph has {n} vertices and {n_edges} edges; "
+            f"the caps are {MAX_VERTICES} and {MAX_EDGES}")
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -92,30 +99,30 @@ def build_graph(family: str, *params: int) -> Graph:
         (n,) = _arity(family, params, 1)
         if n < 1:
             raise ParameterError("complete graph needs n >= 1")
-        return _graph_from_edges(family, params, n, itertools.combinations(range(n), 2))
+        return _graph_from_edges(family, params, n, n * (n - 1) // 2,
+                                 itertools.combinations(range(n), 2))
     if family == "complete_bipartite":
         m, n = _arity(family, params, 2)
         if m < 1 or n < 1:
             raise ParameterError("complete bipartite graph needs m, n >= 1")
-        edges = [(u, m + v) for u in range(m) for v in range(n)]
-        return _graph_from_edges(family, params, m + n, edges)
+        edges = ((u, m + v) for u in range(m) for v in range(n))
+        return _graph_from_edges(family, params, m + n, m * n, edges)
     if family == "book":
         d, n = _arity(family, params, 2)
         if d < 1 or n < 0:
             raise ParameterError("book graph needs d >= 1, n >= 0")
-        edges = list(itertools.combinations(range(d), 2))
-        edges += [(s, d + p) for p in range(n) for s in range(d)]
-        return _graph_from_edges(family, params, d + n, edges)
+        edges = itertools.chain(itertools.combinations(range(d), 2),
+                                ((s, d + p) for p in range(n) for s in range(d)))
+        return _graph_from_edges(family, params, d + n, d * (d - 1) // 2 + d * n, edges)
     if family == "windmill":
         k, n = _arity(family, params, 2)
         if k < 2 or n < 1:
             raise ParameterError("windmill graph needs k >= 2, n >= 1")
-        edges = []
-        for b in range(n):
-            blade = [1 + b * (k - 1) + t for t in range(k - 1)]
-            edges += [(0, w) for w in blade]
-            edges += list(itertools.combinations(blade, 2))
-        return _graph_from_edges(family, params, 1 + n * (k - 1), edges)
+        # each blade with the axle is a K_k
+        edges = itertools.chain.from_iterable(
+            itertools.combinations((0, *range(1 + b * (k - 1), 1 + (b + 1) * (k - 1))), 2)
+            for b in range(n))
+        return _graph_from_edges(family, params, 1 + n * (k - 1), n * k * (k - 1) // 2, edges)
     raise ParameterError(f"unknown graph family {family!r}")
 
 
@@ -127,9 +134,11 @@ def _arity(family: str, params: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 def custom_graph(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     """Arbitrary graph; params encode (n, u1, v1, u2, v2, ...) for round-trips."""
+    if n < 0:
+        raise ParameterError("custom graph needs n >= 0")
     edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
     params = (n,) + tuple(itertools.chain.from_iterable(edges))
-    return _graph_from_edges("custom", params, n, edges)
+    return _graph_from_edges("custom", params, n, len(edges), edges)
 
 
 def _graph_from_spec(family: str, params: Sequence[int]) -> Graph:

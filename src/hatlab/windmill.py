@@ -87,27 +87,35 @@ def parity_set_strategy(k: int, side: str) -> tuple[SolvableSet, Strategy]:
 # ---------------------------------------------------------------------------
 # difference-disjoint residue families
 
-PAIRWISE_MAX_PAIRS = 1 << 24  # difference sets up to this many pairs skip the FFT
+PAIRWISE_MAX_PAIRS = 1 << 14  # fewer pairs skip the FFT; both cost the same here at m = 4096
 FFT_MAX_MODULUS = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueSet:
+    """Subset of Z/m: `mask` is a bool vector of shape (m,), mask[r] holds
+    when r is a member."""
+
     modulus: int
-    members: frozenset[int]
+    mask: np.ndarray
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ParameterError("modulus must be >= 1")
-        if any(not 0 <= r < self.modulus for r in self.members):
-            raise ParameterError("residues must lie in [modulus]")
+        mask = self.mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.shape == (self.modulus,)):
+            raise ParameterError(f"mask must be a bool vector of shape ({self.modulus},)")
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
     def translate(self, c: int) -> "ResidueSet":
-        return ResidueSet(self.modulus,
-                          frozenset((r + c) % self.modulus for r in self.members))
+        return ResidueSet(self.modulus, np.roll(self.mask, c))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
 
 @dataclass(frozen=True)
@@ -125,20 +133,17 @@ def difference_disjoint_family(d: int, n: int) -> DifferenceDisjointFamily:
     if d < 2 or n < 1:
         raise ParameterError("need d >= 2 and n >= 1")
     m = d**n
-    if m > 1 << 20:
-        raise InfeasibleError(f"modulus {m} exceeds the 2^20 cap")
-    sets = []
-    for i in range(n):
-        members = frozenset(x for x in range(m) if x // d**i % d == 0)
-        sets.append(ResidueSet(m, members))
-    return DifferenceDisjointFamily(m, tuple(sets))
+    if m > FFT_MAX_MODULUS:
+        raise InfeasibleError(f"modulus {m} exceeds the {FFT_MAX_MODULUS} cap")
+    x = np.arange(m)
+    return DifferenceDisjointFamily(
+        m, tuple(ResidueSet(m, x // d**i % d == 0) for i in range(n)))
 
 
-def _difference_indicator(members: Sequence[int], m: int) -> np.ndarray:
-    """Boolean indicator over [m] of the difference set {a - b mod m}."""
-    a = np.fromiter(members, dtype=np.int64, count=len(members))
-    if len(a) == 0:
-        return np.zeros(m, dtype=bool)
+def _difference_indicator(mask: np.ndarray) -> np.ndarray:
+    """Boolean indicator over Z/m of the difference set {a - b mod m} of a mask."""
+    m = len(mask)
+    a = np.flatnonzero(mask)
     if len(a) * len(a) <= PAIRWISE_MAX_PAIRS:
         diffs = (a[:, None] - a[None, :]).ravel() % m
         return np.bincount(diffs, minlength=m) > 0
@@ -152,22 +157,25 @@ def _difference_indicator(members: Sequence[int], m: int) -> np.ndarray:
     # add small constant factors): the 0.5 cut between 0 and 1 is exact.
     if m > FFT_MAX_MODULUS:
         raise InfeasibleError(f"FFT correlation is proven exact only for m <= {FFT_MAX_MODULUS}")
-    ind = np.zeros(m, dtype=np.float64)
-    ind[a] = 1.0
-    freq = np.fft.rfft(ind)
+    freq = np.fft.rfft(mask)
     corr = np.fft.irfft(freq * np.conj(freq), m)
     return corr > 0.5
 
 
-def is_difference_disjoint(sets: Sequence[ResidueSet], m: int) -> bool:
-    """True iff no nonzero residue lies in every set's difference set."""
+def _family_masks(sets: Sequence[ResidueSet], m: int) -> list[np.ndarray]:
     if not sets:
         raise ParameterError("need at least one residue set")
-    acc = np.ones(m, dtype=bool)
     for rs in sets:
         if rs.modulus != m:
             raise ParameterError(f"set has modulus {rs.modulus}, expected {m}")
-        acc &= _difference_indicator(sorted(rs.members), m)
+    return [rs.mask for rs in sets]
+
+
+def is_difference_disjoint(sets: Sequence[ResidueSet], m: int) -> bool:
+    """True iff no nonzero residue lies in every set's difference set."""
+    acc = np.ones(m, dtype=bool)
+    for mask in _family_masks(sets, m):
+        acc &= _difference_indicator(mask)
         if not acc[1:].any():
             return True
     return not acc[1:].any()
@@ -179,37 +187,21 @@ def translate_intersection_max(
     """Max |(A_1+c_1) ∩ ... ∩ (A_n+c_n)| over seeded random translate tuples.
 
     Cross-validates difference-disjointness (which is equivalent to every
-    translate intersection having at most one element).  Residue sets are
-    handled as m-bit integers; rotation = translation.
+    translate intersection having at most one element).  A tuple stops
+    drawing translates once its intersection is empty.
     """
-    if not sets:
-        raise ParameterError("need at least one residue set")
-    full = (1 << m) - 1
-    bases = []
-    for rs in sets:
-        if rs.modulus != m:
-            raise ParameterError(f"set has modulus {rs.modulus}, expected {m}")
-        bases.append(sum(1 << r for r in rs.members))
-    cache: dict[tuple[int, int], int] = {}
-
-    def rot(i: int, c: int) -> int:
-        key = (i, c)
-        got = cache.get(key)
-        if got is None:
-            b = bases[i]
-            got = ((b << c) | (b >> (m - c))) & full if c else b
-            cache[key] = got
-        return got
-
+    masks = _family_masks(sets, m)
+    if trials < 0:
+        raise ParameterError(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     worst = 0
     for _ in range(trials):
-        x = rot(0, rng.randrange(m))
-        for i in range(1, len(bases)):
-            x &= rot(i, rng.randrange(m))
-            if not x:
+        x = np.roll(masks[0], rng.randrange(m))
+        for mask in masks[1:]:
+            x &= np.roll(mask, rng.randrange(m))
+            if not x.any():
                 break
-        worst = max(worst, x.bit_count())
+        worst = max(worst, int(np.count_nonzero(x)))
     return worst
 
 
@@ -228,14 +220,12 @@ def sum_avoid_set(a: ResidueSet, k: int, q: int) -> tuple[SolvableSet, Strategy]
         raise ParameterError("need k >= 2")
     if a.modulus != q:
         raise ParameterError(f"residue set has modulus {a.modulus}, expected q={q}")
-    targets = sorted(set(range(q)) - a.members)
+    targets = np.flatnonzero(~a.mask)
     if len(targets) != k - 1:
         raise ParameterError(
             f"need q - |A| = k - 1 (q={q}, |A|={len(a)}, k={k})")
     _cells_guard(q, k - 1)
-    allowed = np.ones(q, dtype=bool)
-    allowed[list(a.members)] = False
-    mask = allowed[_digit_sums(np.arange(q), k - 1) % q].reshape((q,) * (k - 1))
+    mask = ~a.mask[_digit_sums(np.arange(q), k - 1) % q].reshape((q,) * (k - 1))
     return SolvableSet(k - 1, q, mask), sum_target_strategy(k - 1, q, targets)
 
 
@@ -445,6 +435,8 @@ def certificate_random_loss_check(
     certificate's strategy vectorized, without materializing the axle table.
     """
     validate_certificate(cert)
+    if trials < 0:
+        raise ParameterError(f"trials must be >= 0, got {trials}")
     if not certificate_disjointness_check(cert):
         raise CertificateError("products are not pairwise disjoint")
     k, n, q = cert.k, cert.n, cert.q

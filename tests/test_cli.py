@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -295,5 +296,29 @@ def test_numpy_axis_cap_is_infeasible(capsys, tmp_path):
     path.write_text(json.dumps({"graph": {"family": "complete", "params": [70]},
                                 "q": 1, "tables": [[0]] * 70}))
     code, reports = run(capsys, "verify", "-g", "complete:70", "-q", "1", "-s", str(path))
+    assert code == 3
+    assert len(reports) == 1 and reports[0]["status"] == "infeasible"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "parity"],
+    ["lemma", "noncoverable"],
+    ["lemma", "windmill", "--mode", "residue", "-d", "2", "-n", "3", "--trials", "-1"],
+    ["lemma", "difference-disjoint", "-d", "2", "-n", "3", "--trials", "-1"],
+    ["lemma", "h-lower", "-d", "3", "--mode", "random", "--trials", "-1"],
+    ["search", "-g", "custom:-3", "-q", "2"],
+], ids=["parity-no-k", "noncoverable-no-d", "windmill-trials", "residues-trials",
+        "h-lower-trials", "negative-vertex-count"])
+def test_missing_or_negative_parameters_exit_two(capsys, argv):
+    assert_one_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("spec", ["complete:100000", "complete_bipartite:100000,100000"])
+def test_oversized_graphs_are_refused_before_building(capsys, tmp_path, spec):
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    started = time.perf_counter()
+    code, reports = run(capsys, "verify", "-g", spec, "-q", "2", "-s", str(empty))
+    assert time.perf_counter() - started < 1.0
     assert code == 3
     assert len(reports) == 1 and reports[0]["status"] == "infeasible"

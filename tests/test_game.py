@@ -19,6 +19,7 @@ import hatlab.game as game_module
 from hatlab import (
     InfeasibleError,
     ParameterError,
+    ResidueSet,
     SolvableSet,
     Strategy,
     build_graph,
@@ -112,6 +113,35 @@ def test_build_graph_rejects_bad_params():
         custom_graph(2, [(0, 2)])
     with pytest.raises(ParameterError):
         custom_graph(2, [(1, 1)])
+    with pytest.raises(ParameterError):
+        custom_graph(-3, [])
+
+
+@pytest.mark.parametrize("family,params", [
+    ("complete", (6,)), ("complete_bipartite", (3, 4)), ("book", (3, 2)),
+    ("book", (1, 4)), ("windmill", (4, 3)), ("windmill", (2, 5)),
+])
+def test_graph_caps_count_edges_exactly(monkeypatch, family, params):
+    g = build_graph(family, *params)
+    monkeypatch.setattr(game_module, "MAX_EDGES", len(g.edges))
+    monkeypatch.setattr(game_module, "MAX_VERTICES", g.n_vertices)
+    assert build_graph(family, *params) == g
+    monkeypatch.setattr(game_module, "MAX_EDGES", len(g.edges) - 1)
+    with pytest.raises(InfeasibleError):
+        build_graph(family, *params)
+    monkeypatch.setattr(game_module, "MAX_EDGES", len(g.edges))
+    monkeypatch.setattr(game_module, "MAX_VERTICES", g.n_vertices - 1)
+    with pytest.raises(InfeasibleError):
+        build_graph(family, *params)
+
+
+def test_oversized_graphs_are_refused():
+    for family, params in (("complete", (10**6,)), ("book", (2, 10**6)),
+                           ("windmill", (3, 10**6))):
+        with pytest.raises(InfeasibleError):
+            build_graph(family, *params)
+    with pytest.raises(InfeasibleError):
+        custom_graph(10**9, [])
 
 
 # --- verification conventions ----------------------------------------------
@@ -427,6 +457,23 @@ def test_solvable_set_is_a_c_order_mask():
     for n, q in ((1, 1), (2, 3), (3, 4)):
         got = solvable_interval_set(n, q)[0].members
         assert got == {x for x in itertools.product(range(q), repeat=n) if sum(x) % q < n}
+
+
+def test_residue_set_is_a_mask_over_z_m():
+    mask = np.zeros(8, dtype=bool)
+    mask[[0, 5]] = True
+    a = ResidueSet(8, mask)
+    assert a.members == frozenset({0, 5}) and len(a) == 2
+    assert a.translate(1).members == frozenset({1, 6})
+    assert np.array_equal(a.translate(-5).mask, np.roll(mask, 3))
+    with pytest.raises(AttributeError):
+        a.members = frozenset()  # read-only: derived from the mask
+    for bad in (mask[:7], np.zeros(9, dtype=bool), mask.astype(np.uint8),
+                mask.reshape(2, 4), frozenset({0, 5})):
+        with pytest.raises(ParameterError):
+            ResidueSet(8, bad)
+    with pytest.raises(ParameterError):
+        ResidueSet(0, np.zeros(0, dtype=bool))
 
 
 def test_max_solvable_set_search_small():

@@ -89,6 +89,12 @@ def test_parity_strategy_rejects_bad_side():
 # --- residue families -------------------------------------------------------
 
 
+def residues(m, members):
+    mask = np.zeros(m, dtype=bool)
+    mask[list(members)] = True
+    return ResidueSet(m, mask)
+
+
 def test_difference_disjoint_family_shapes():
     fam = difference_disjoint_family(3, 2)
     assert fam.modulus == 9
@@ -107,8 +113,10 @@ def test_families_are_difference_disjoint(d, n):
 
 def test_difference_disjointness_counterexample():
     # both difference sets contain 4
-    sets = [ResidueSet(8, frozenset({0, 4})), ResidueSet(8, frozenset({1, 5}))]
+    sets = [residues(8, {0, 4}), residues(8, {1, 5})]
     assert not is_difference_disjoint(sets, 8)
+    # so some translates meet in two residues (seed 2 finds them on tuple 4)
+    assert [translate_intersection_max(sets, 8, t, seed=2) for t in (3, 4)] == [0, 2]
 
 
 def test_difference_indicator_fft_matches_pairwise(monkeypatch):
@@ -119,7 +127,7 @@ def test_difference_indicator_fft_matches_pairwise(monkeypatch):
         for m in (64, 81, 97):
             for _ in range(20):
                 members = sorted(rng.sample(range(m), rng.randrange(1, m)))
-                got = _difference_indicator(members, m)
+                got = _difference_indicator(residues(m, members).mask)
                 direct = [False] * m
                 for a in members:
                     for b in members:
@@ -127,7 +135,7 @@ def test_difference_indicator_fft_matches_pairwise(monkeypatch):
                 assert got.tolist() == direct
     # past the proven error bound the FFT path refuses
     with pytest.raises(InfeasibleError):
-        _difference_indicator([0, 1], windmill_module.FFT_MAX_MODULUS + 1)
+        _difference_indicator(residues(windmill_module.FFT_MAX_MODULUS + 1, [0, 1]).mask)
 
 
 def test_translate_intersection_exhaustive_oracle():
@@ -144,20 +152,57 @@ def test_translate_intersection_exhaustive_oracle():
     assert translate_intersection_max(fam.sets, m, 200, seed=0) == best
 
 
+# translate_intersection_max on {0,4}, {1,5}, {2,6} mod 8 as the int-bitmask
+# implementation returned it: a tuple stops drawing at an empty intersection,
+# so every later tuple's translates depend on where earlier ones stopped
+# (drawing all three translates every time gives different values here)
+TRANSLATE_TRIALS = (1, 2, 3, 4, 5, 6, 8)
+TRANSLATE_PINS = {
+    0: [0, 0, 0, 0, 0, 2, 2],
+    4: [0, 0, 2, 2, 2, 2, 2],
+    5: [0, 0, 0, 0, 0, 0, 2],
+    6: [0, 0, 0, 0, 0, 0, 0],
+    7: [0, 0, 0, 2, 2, 2, 2],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRANSLATE_PINS))
+def test_translate_intersection_max_keeps_its_draw_sequence(seed):
+    sets = [residues(8, {0, 4}), residues(8, {1, 5}), residues(8, {2, 6})]
+    got = [translate_intersection_max(sets, 8, t, seed=seed) for t in TRANSLATE_TRIALS]
+    assert got == TRANSLATE_PINS[seed]
+    assert translate_intersection_max(sets, 8, 0, seed=seed) == 0
+
+
 def test_residue_set_validation():
     with pytest.raises(ParameterError):
-        ResidueSet(5, frozenset({5}))
+        ResidueSet(5, np.zeros(6, dtype=bool))
     with pytest.raises(ParameterError):
         is_difference_disjoint([], 4)
     with pytest.raises(ParameterError):
         difference_disjoint_family(1, 3)
+    with pytest.raises(ParameterError):
+        translate_intersection_max(difference_disjoint_family(2, 2).sets, 4, -1)
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["-d", "3", "-n", "2", "--seed", "7"],
+     {"d": 3, "n": 2, "modulus": 9, "set_sizes": [3, 3]}),
+    (["-d", "2", "-n", "3", "--trials", "5", "--seed", "1"],
+     {"d": 2, "n": 3, "modulus": 8, "set_sizes": [4, 4, 4]}),
+])
+def test_difference_disjoint_lemma_payloads(capsys, argv, payload):
+    assert main(["lemma", "difference-disjoint", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"] == {"lemma": "difference-disjoint", **payload,
+                                 "disjoint": True, "translate_intersection_max": 1}
 
 
 # --- sum-avoiding sets ------------------------------------------------------
 
 
 def test_sum_avoid_set_wins_and_sizes():
-    a = ResidueSet(4, frozenset({0, 2}))
+    a = residues(4, {0, 2})
     solvable, strat = sum_avoid_set(a, 3, 4)
     assert len(solvable) == 2 * 4  # two allowed totals, 4 tuples each
     g = build_graph("complete", 2)
@@ -174,16 +219,16 @@ def test_set_masks_match_enumeration():
         assert parity_set(k).members == odd
         assert parity_set_strategy(k, "even")[0].members == \
             set(itertools.product(range(q), repeat=k - 1)) - odd
-    a = ResidueSet(5, frozenset({1, 4}))
+    a = residues(5, {1, 4})
     assert sum_avoid_set(a, 4, 5)[0].members == \
         {x for x in itertools.product(range(5), repeat=3) if sum(x) % 5 not in (1, 4)}
 
 
 def test_sum_avoid_set_needs_matching_count():
     with pytest.raises(ParameterError):
-        sum_avoid_set(ResidueSet(4, frozenset({0})), 3, 4)  # q-|A|=3 != k-1
+        sum_avoid_set(residues(4, {0}), 3, 4)  # q-|A|=3 != k-1
     with pytest.raises(ParameterError):
-        sum_avoid_set(ResidueSet(5, frozenset({0})), 3, 4)
+        sum_avoid_set(residues(5, {0}), 3, 4)
 
 
 # --- certificates -----------------------------------------------------------
