@@ -60,15 +60,17 @@ def _emit(status: str, payload: dict, started: float) -> int:
 
 
 def _resolve_budget(value: int | None, fallback: int) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("HATLAB_BUDGET")
-    if env is not None:
+    if value is None:
+        env = os.environ.get("HATLAB_BUDGET")
+        if env is None:
+            return fallback
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ParameterError(f"HATLAB_BUDGET must be an integer, got {env!r}")
-    return fallback
+    if value < 0:
+        raise ParameterError(f"budget must be non-negative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +503,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        # refuse bad limits before any report of `lemma all` is printed
+        _resolve_budget(args.budget, 0)
+        if args.threads is not None and args.threads < 1:
+            raise ParameterError(f"--threads must be at least 1, got {args.threads}")
         return _VERB_HANDLERS[args.verb](args)
     except InfeasibleError as exc:
         payload = {"message": str(exc)}

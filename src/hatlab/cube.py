@@ -6,12 +6,16 @@ a 3x3x3 combinatorial cube: the product of the three 3-element sets avoiding
 one forbidden value per axis; its complement is the radius-2 Hamming ball
 around the forbidden point.  The *two-intersection* of a family is the set
 of cells lying in at least two members (by index, so duplicates count).
+
+Every sweep folds whole families at once with `_fold`: uint64 mask arrays,
+one broadcast axis per family member (the axes of ``np.ix_``).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -63,6 +67,7 @@ def grid_cube_masks(q: int, m: int) -> list[int]:
 
 
 CUBE_MASKS: tuple[int, ...] = tuple(grid_cube_masks(4, 3))
+_CUBES = np.array(CUBE_MASKS, dtype=np.uint64)
 _CUBE_SET = frozenset(CUBE_MASKS)
 _CUBE_MINUS_POINT_SET = frozenset(
     c & ~(1 << b) for c in CUBE_MASKS for b in range(64) if c >> b & 1)
@@ -78,16 +83,25 @@ def hamming_ball(p: Cell) -> int:
     return FULL_MASK & ~cube_mask(p)
 
 
+def _fold(masks):
+    """(union, two-fold intersection) of a family of masks.
+
+    Members are Python ints or uint64 arrays that broadcast together; the
+    results have the broadcast shape, one entry per configuration.
+    """
+    once = twice = 0
+    for m in masks:
+        twice = twice | (once & m)
+        once = once | m
+    return once, twice
+
+
 def two_intersection(masks: Sequence[int]) -> int:
     """Cells contained in at least two masks of the family (by index)."""
-    once = 0
-    twice = 0
-    for m in masks:
-        if not 0 <= m <= FULL_MASK:
-            raise ParameterError("masks must be 64-bit cell sets")
-        twice |= once & m
-        once |= m
-    return twice
+    masks = tuple(masks)
+    if not all(0 <= m <= FULL_MASK for m in masks):
+        raise ParameterError("masks must be 64-bit cell sets")
+    return _fold(masks)[1]
 
 
 # closed forms for cube families, used as independent oracles in tests
@@ -119,16 +133,7 @@ def cube_triple_two_intersection_size(p1: Cell, p2: Cell, p3: Cell) -> int:
 
 def three_cubes_min_two_intersection() -> int:
     """Minimum |two-intersection| over all ordered cube triples (expect 20)."""
-    best = 64
-    for c1 in CUBE_MASKS:
-        for c2 in CUBE_MASKS:
-            once = c1 | c2
-            twice = c1 & c2
-            for c3 in CUBE_MASKS:
-                n = (twice | (once & c3)).bit_count()
-                if n < best:
-                    best = n
-    return best
+    return int(np.bitwise_count(_fold(np.ix_(_CUBES, _CUBES, _CUBES))[1]).min())
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,6 @@ class FourCubeSweepReport:
 def four_cubes_two_intersection_sweep() -> FourCubeSweepReport:
     """Sweep all 64^4 cube quadruples: any two-intersection of size <= 29
     must be a full cube or a cube minus one cell."""
-    cubes = np.array(CUBE_MASKS, dtype=np.uint64)
     cube_sorted = np.array(sorted(_CUBE_SET), dtype=np.uint64)
     cmp_sorted = np.array(sorted(_CUBE_MINUS_POINT_SET), dtype=np.uint64)
 
@@ -155,30 +159,17 @@ def four_cubes_two_intersection_sweep() -> FourCubeSweepReport:
     exact_cube = 0
     minus_point = 0
     violations: list[tuple[Cell, Cell, Cell, Cell]] = []
-    for i in range(64):
-        ci = CUBE_MASKS[i]
-        for j in range(64):
-            once2 = np.uint64(ci | CUBE_MASKS[j])
-            twice2 = np.uint64(ci & CUBE_MASKS[j])
-            once3 = once2 | cubes
-            twice3 = twice2 | (once2 & cubes)
-            t4 = twice3[:, None] | (once3[:, None] & cubes[None, :])
-            pc = np.bitwise_count(t4)
-            small = pc <= 29
-            above += int(t4.size - np.count_nonzero(small))
-            if not small.any():
-                continue
-            vals = t4[small]
-            is_cube = np.isin(vals, cube_sorted)
-            is_cmp = np.isin(vals, cmp_sorted)
-            exact_cube += int(np.count_nonzero(is_cube))
-            minus_point += int(np.count_nonzero(is_cmp))
-            bad = ~(is_cube | is_cmp)
-            if bad.any():
-                for (k, l), is_bad in zip(np.argwhere(small), bad):
-                    if is_bad:
-                        violations.append((cell_coords(i), cell_coords(j),
-                                           cell_coords(int(k)), cell_coords(int(l))))
+    for i in range(64):  # one first cube per call keeps each array at 64^3 masks
+        t4 = _fold(np.ix_(_CUBES[i:i + 1], _CUBES, _CUBES, _CUBES))[1]
+        small = np.bitwise_count(t4) <= 29
+        above += int(t4.size - np.count_nonzero(small))
+        vals = t4[small]
+        is_cube = np.isin(vals, cube_sorted)
+        is_cmp = np.isin(vals, cmp_sorted)
+        exact_cube += int(np.count_nonzero(is_cube))
+        minus_point += int(np.count_nonzero(is_cmp))
+        for _, j, k, l in np.argwhere(small)[~(is_cube | is_cmp)]:
+            violations.append(tuple(cell_coords(int(c)) for c in (i, j, k, l)))
     return FourCubeSweepReport(64**4, above, exact_cube, minus_point, tuple(violations))
 
 
@@ -195,18 +186,12 @@ SQUARE_MASKS: tuple[int, ...] = tuple(grid_cube_masks(4, 2))
 def square_two_intersection_minima() -> tuple[int, int, int]:
     """(pair, triple, distinct-quadruple) minima of |two-intersection| for
     3x3 squares in [4]^2; expect (4, 8, 12)."""
-    sq = SQUARE_MASKS
-    pair_min = min((a & b).bit_count() for a in sq for b in sq)
-    triple_min = 16
-    for a in sq:
-        for b in sq:
-            once, twice = a | b, a & b
-            for c in sq:
-                triple_min = min(triple_min, (twice | (once & c)).bit_count())
-    quad_min = 16
-    for a, b, c, d in itertools.permutations(sq, 4):
-        quad_min = min(quad_min, two_intersection((a, b, c, d)).bit_count())
-    return pair_min, triple_min, quad_min
+    sq = np.array(SQUARE_MASKS, dtype=np.uint64)
+    # streamed, not listed: 43680 index tuples would linger in the heap and raise peak RSS
+    rows = itertools.chain.from_iterable(itertools.permutations(range(len(sq)), 4))
+    distinct = sq[np.fromiter(rows, np.intp).reshape(-1, 4)].T
+    return tuple(int(np.bitwise_count(_fold(family)[1]).min())
+                 for family in (np.ix_(sq, sq), np.ix_(sq, sq, sq), distinct))
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +228,12 @@ def all_prisms_233() -> tuple[int, ...]:
 
 def prism_cover_impossible() -> bool:
     """No three cubes plus one 2x3x3 prism cover [4]^3 (checks every
-    64^3 x 288 combination via the complement masks)."""
-    cubes = np.array(CUBE_MASKS, dtype=np.uint64)
-    comp_prisms = np.array([FULL_MASK & ~p for p in all_prisms_233()], dtype=np.uint64)
-    full = np.uint64(FULL_MASK)
-    for c1 in CUBE_MASKS:
-        for c2 in CUBE_MASKS:
-            u2 = np.uint64(c1 | c2)
-            rem3 = ~(u2 | cubes) & full                      # (64,) leftover cells
-            hits = (rem3[:, None] & comp_prisms[None, :]) == 0
-            if hits.any():
-                return False
-    return True
+    64^3 x 288 combination)."""
+    prisms = np.array(all_prisms_233(), dtype=np.uint64)
+    unions = _fold(np.ix_(_CUBES, _CUBES, _CUBES))[0].ravel()
+    step = unions.size // prisms.size  # each chunk's OR table holds <= 64^3 masks
+    return not any(((unions[s:s + step, None] | prisms) == FULL_MASK).any()
+                   for s in range(0, unions.size, step))
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +262,8 @@ class PartitionTuple:
 
 def check_partition_condition(p: PartitionTuple, q: PartitionTuple, r: PartitionTuple) -> bool:
     """Does every union P_i | Q_j | R_k contain a full 3x3x3 cube?"""
-    for pi in p.parts:
-        for qj in q.parts:
-            u2 = pi | qj
-            for rk in r.parts:
-                hole = FULL_MASK & ~(u2 | rk)
-                if not any(c & hole == 0 for c in CUBE_MASKS):
-                    return False
-    return True
+    union = _fold(np.ix_(*(np.array(t.parts, dtype=np.uint64) for t in (p, q, r))))[0]
+    return bool(((union[..., None] & _CUBES) == _CUBES).any(-1).all())
 
 
 def strategy_from_bipartite_partitions(
@@ -371,10 +344,8 @@ def k22_valid_pair_matrix() -> tuple[np.ndarray, np.ndarray]:
         for i in range(3):
             part_masks[i] += (digit == i) << t
 
-    squares = grid_cube_masks(3, 2)
-    covers = np.zeros(512, dtype=bool)
-    for mask in range(512):
-        covers[mask] = any(sq & ~mask & 511 == 0 for sq in squares)
+    squares = np.array(grid_cube_masks(3, 2), dtype=np.int64)
+    covers = ((np.arange(512)[:, None] & squares) == squares).any(-1)
 
     compatible = np.empty((512, 3**9), dtype=bool)
     for pm in range(512):
@@ -417,12 +388,9 @@ def mask_to_hex(mask: int) -> str:
 
 
 def hex_to_mask(s: str) -> int:
-    if len(s) != 16:
-        raise ParameterError(f"cell-set hex string must have 16 digits, got {len(s)}")
-    try:
-        return sum(int(c, 16) << 4 * t for t, c in enumerate(s))
-    except ValueError as exc:
-        raise ParameterError(f"bad hex digit in {s!r}") from exc
+    if not (isinstance(s, str) and re.fullmatch("[0-9a-fA-F]{16}", s)):
+        raise ParameterError(f"cell-set hex string must be 16 ASCII hex digits, got {s!r}")
+    return sum(int(c, 16) << 4 * t for t, c in enumerate(s))
 
 
 def write_partition_file(path: str, p: PartitionTuple) -> None:

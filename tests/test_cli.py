@@ -300,17 +300,58 @@ def test_numpy_axis_cap_is_infeasible(capsys, tmp_path):
     assert len(reports) == 1 and reports[0]["status"] == "infeasible"
 
 
-@pytest.mark.parametrize("argv", [
-    ["lemma", "parity"],
-    ["lemma", "noncoverable"],
-    ["lemma", "windmill", "--mode", "residue", "-d", "2", "-n", "3", "--trials", "-1"],
-    ["lemma", "difference-disjoint", "-d", "2", "-n", "3", "--trials", "-1"],
-    ["lemma", "h-lower", "-d", "3", "--mode", "random", "--trials", "-1"],
-    ["search", "-g", "custom:-3", "-q", "2"],
+WINDMILL_32 = ["lemma", "windmill", "--mode", "parity", "-k", "3", "-n", "2"]
+
+
+@pytest.mark.parametrize("argv, budget_env", [
+    (["lemma", "parity"], None),
+    (["lemma", "noncoverable"], None),
+    (["lemma", "windmill", "--mode", "residue", "-d", "2", "-n", "3", "--trials", "-1"], None),
+    (["lemma", "difference-disjoint", "-d", "2", "-n", "3", "--trials", "-1"], None),
+    (["lemma", "h-lower", "-d", "3", "--mode", "random", "--trials", "-1"], None),
+    (["search", "-g", "custom:-3", "-q", "2"], None),
+    ([*WINDMILL_32, "--budget", "-1"], None),
+    (WINDMILL_32, "-3"),
+    (["search", "-g", "complete:2", "-q", "2", "--budget", "-5"], None),
+    (["lemma", "all", "--budget", "-1"], None),
+    ([*WINDMILL_32, "--threads", "0"], None),
+    ([*WINDMILL_32, "--threads", "-1"], None),
 ], ids=["parity-no-k", "noncoverable-no-d", "windmill-trials", "residues-trials",
-        "h-lower-trials", "negative-vertex-count"])
-def test_missing_or_negative_parameters_exit_two(capsys, argv):
+        "h-lower-trials", "negative-vertex-count", "negative-budget", "negative-budget-env",
+        "negative-search-budget", "negative-budget-lemma-all", "zero-threads",
+        "negative-threads"])
+def test_missing_or_negative_parameters_exit_two(capsys, monkeypatch, argv, budget_env):
+    if budget_env is not None:
+        monkeypatch.setenv("HATLAB_BUDGET", budget_env)
     assert_one_error_line(capsys, argv)
+
+
+LEMMA_ALL_PAYLOADS = [
+    {"lemma": "three-cubes", "minimum": 20},
+    {"lemma": "four-cubes", "quadruples": 16777216, "above_29": 16636608,
+     "exact_cube": 99136, "cube_minus_point": 41472, "violations": []},
+    {"lemma": "square-minima", "pair": 4, "triple": 8, "quadruple": 12},
+    {"lemma": "prism-cover", "impossible": True},
+    {"lemma": "h-lower", "d": 2, "mode": "exhaustive", "set_size": 5,
+     "sets_checked": 53130, "failures": []},
+    *({"lemma": "noncoverable", "d": d, "size": s, "noncoverable": True}
+      for d, s in ((1, 2), (2, 6), (3, 33), (4, 289))),
+    {"lemma": "difference-disjoint", "max_modulus": 4096, "families": 4194, "failures": []},
+    *({"lemma": "parity", "k": k, "q": 2 * k - 2, "half_size": h, "odd_wins": True,
+       "even_wins": True, "sizes_match": True} for k, h in ((2, 1), (3, 8), (4, 108))),
+    {"lemma": "windmill", "k": 3, "n": 2, "q": 4, "graph": "windmill:3,2",
+     "route": "exhaustive", "wins": True, "assignments_checked": 1024},
+    {"lemma": "windmill", "k": 4, "n": 3, "q": 6, "graph": "windmill:4,3",
+     "route": "exhaustive", "wins": True, "assignments_checked": 60466176},
+]
+
+
+def test_lemma_all_payloads_are_pinned(capsys):
+    code, reports = run(capsys, "lemma", "all", "--threads", "2")
+    assert code == 0
+    assert len(reports) == 15
+    assert all(r["status"] == "verified" for r in reports)
+    assert [r["payload"] for r in reports] == LEMMA_ALL_PAYLOADS
 
 
 @pytest.mark.parametrize("spec", ["complete:100000", "complete_bipartite:100000,100000"])

@@ -20,6 +20,7 @@ from hatlab import (
     cube_pair_overlap,
     cube_triple_overlap,
     cube_triple_two_intersection_size,
+    four_cubes_two_intersection_sweep,
     grid_cube_masks,
     hamming_ball,
     k22_certificate_search,
@@ -31,6 +32,7 @@ from hatlab import (
     verify_strategy,
     write_partition_file,
 )
+from hatlab import cube
 from hatlab.cube import (
     FULL_MASK,
     all_prisms_233,
@@ -138,6 +140,20 @@ def test_prisms():
     assert m in prisms
 
 
+def test_four_cube_violations_come_in_lexicographic_order(monkeypatch):
+    # with the cube-minus-point class emptied, each of its members is a violation
+    monkeypatch.setattr(cube, "_CUBE_MINUS_POINT_SET", frozenset())
+    rep = four_cubes_two_intersection_sweep()
+    assert not rep.ok and rep.cube_minus_point == 0
+    assert len(rep.violations) == 41472
+    order = [tuple(cell_index(*c) for c in quad) for quad in rep.violations]
+    assert order == sorted(set(order))
+    for quad in (rep.violations[0], rep.violations[-1]):
+        t = two_intersection([cube_mask(c) for c in quad])
+        assert t.bit_count() == 26
+        assert any(t & ~c == 0 and (c & ~t).bit_count() == 1 for c in CUBE_MASKS)
+
+
 def test_cube_or_cube_minus_point():
     assert is_cube_or_cube_minus_point(CUBE_MASKS[5])
     lowest = CUBE_MASKS[5] & -CUBE_MASKS[5]
@@ -183,9 +199,46 @@ def test_partition_tuple_validation():
     assert check_partition_condition(p, p, p) in (True, False)
 
 
+def partition_condition_reference(p, q, r):
+    for pi in p.parts:
+        for qj in q.parts:
+            for rk in r.parts:
+                hole = FULL_MASK & ~(pi | qj | rk)
+                if not any(c & hole == 0 for c in CUBE_MASKS):
+                    return False
+    return True
+
+
+def partitions_from_colors(colors):
+    return PartitionTuple(tuple(sum(1 << i for i, c in enumerate(colors) if c == part)
+                                for part in range(4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=64, max_size=64),
+                min_size=3, max_size=3))
+def test_partition_condition_matches_reference(colorings):
+    p, q, r = (partitions_from_colors(c) for c in colorings)
+    assert check_partition_condition(p, q, r) == partition_condition_reference(p, q, r)
+
+
+def test_partition_condition_needs_every_union():
+    # 37 of the 64 unions are the whole grid, the other 27 are empty
+    p = PartitionTuple((FULL_MASK, 0, 0, 0))
+    assert partition_condition_reference(p, p, p) is False
+    assert check_partition_condition(p, p, p) is False
+
+
 @given(st.integers(0, FULL_MASK))
 def test_mask_hex_round_trip(mask):
     assert hex_to_mask(mask_to_hex(mask)) == mask
+
+
+@pytest.mark.parametrize("text", [["f"] * 16, "\uff11" * 16, b"f" * 16, "f" * 15 + "g"],
+                         ids=["list", "fullwidth-digits", "bytes", "non-hex"])
+def test_hex_to_mask_takes_only_ascii_hex_strings(text):
+    with pytest.raises(ParameterError):
+        hex_to_mask(text)
 
 
 def test_partition_file_round_trip(tmp_path):
