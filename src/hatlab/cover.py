@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import HatLabError, InfeasibleError, ParameterError, file_int
 
@@ -280,30 +283,60 @@ def coverability_sweep(
     if trials < 0:
         raise ParameterError(f"trials must be >= 0, got {trials}")
     t = sum(i**i for i in range(1, d + 1))
-    failures: list[PointSet] = []
-    checked = 0
     if mode == "exhaustive":
         if d > 2:
             raise InfeasibleError(
                 f"exhaustive sweep needs C({t**d},{t}) checks; use random mode for d={d}")
-        cells = list(itertools.product(range(t), repeat=d))
-        for combo in itertools.combinations(cells, t):
-            checked += 1
-            if isinstance(coverable(PointSet.of(d, combo)), HallViolator):
-                failures.append(PointSet.of(d, combo))
-        return CoverSweepReport(d, mode, t, checked, tuple(failures))
+        # every t-subset of the t^d cells, as C-order cell indices in lexicographic order
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(t**d), t)),
+            dtype=np.int16, count=math.comb(t**d, t) * t).reshape(-1, t)
+        points = np.stack([combos // t ** (d - 1 - k) % t for k in range(d)], axis=2)
+        ok = _coverable_mask(points)
+        failures = tuple(PointSet.of(d, points[i].tolist()) for i in np.flatnonzero(~ok))
+        return CoverSweepReport(d, mode, t, len(combos), failures)
     if mode == "random":
         rng = random.Random(seed)
+        failures: list[PointSet] = []
         for _ in range(trials):
             pts: set[Point] = set()
             while len(pts) < t:
                 pts.add(tuple(rng.randrange(t) for _ in range(d)))
             s = PointSet.of(d, pts)
-            checked += 1
             if isinstance(coverable(s), HallViolator):
                 failures.append(s)
-        return CoverSweepReport(d, mode, t, checked, tuple(failures))
+        return CoverSweepReport(d, mode, t, trials, tuple(failures))
     raise ParameterError(f"unknown sweep mode {mode!r}")
+
+
+def _coverable_mask(points: np.ndarray) -> np.ndarray:
+    """Coverability of N sets of t points at once; `points` is an (N, t, d)
+    array of non-negative integers.
+
+    Each point gets one line id per axis: axis * side^(d-1) plus the C-order
+    code of its projection along that axis, with side = 1 + the largest
+    coordinate.  A set is coverable exactly when some axis-class assignment
+    gives its points pairwise distinct line ids, so this is the definition
+    evaluated over all d^t assignments, in integers; keep t small.
+    """
+    n, t, d = points.shape
+    side = int(points.max(initial=0)) + 1
+    lines = side ** (d - 1)
+    # holds every line id, and every projection coordinate and place value
+    dtype = np.min_scalar_type(d * lines)
+    pts = points.astype(dtype)
+    place = (side ** np.arange(d - 2, -1, -1)).astype(dtype)  # C-order place values
+    ids = np.stack([
+        axis * lines + (np.delete(pts, axis, axis=2) * place).sum(axis=2, dtype=dtype)
+        for axis in range(d)], axis=2)
+    rows = np.arange(t)
+    undecided = np.arange(n)  # sets no assignment tried so far covers
+    for classes in itertools.product(range(d), repeat=t):
+        chosen = np.sort(ids[undecided[:, None], rows, classes], axis=1)
+        undecided = undecided[(chosen[:, 1:] == chosen[:, :-1]).any(axis=1)]
+    mask = np.ones(n, dtype=bool)
+    mask[undecided] = False
+    return mask
 
 
 def loomis_whitney_check(s: PointSet) -> bool:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -49,6 +53,18 @@ def test_lemma_exit_codes(capsys):
     code, reports = run(capsys, "lemma", "counting", "--mode", "residue",
                         "-d", "3", "-n", "2")
     assert code == 0 and reports[0]["payload"]["holds"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "hatlab", "lemma", "three-cubes"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["payload"] == {"lemma": "three-cubes", "minimum": 20}
 
 
 def test_construct_verify_round_trip(capsys, tmp_path):

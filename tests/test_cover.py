@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,8 @@ from hatlab import (
     read_point_set,
     write_point_set,
 )
-from hatlab.cover import is_valid_axis_partition, violates_numeric_cover
+from hatlab import cover
+from hatlab.cover import _coverable_mask, is_valid_axis_partition, violates_numeric_cover
 
 
 def grid(*ranges):
@@ -39,6 +42,36 @@ def random_point_set(rng, d, size, spread=4):
     while len(pts) < size:
         pts.add(tuple(rng.randrange(spread) for _ in range(d)))
     return PointSet.of(d, pts)
+
+
+def coverable_d2(points) -> bool:
+    """Closed form for d = 2, independent of matching and of the kernel.
+
+    Point (x, y) is an edge between the line x = const and the line y = const.
+    An axis partition gives every edge one of its two endpoints, no endpoint
+    twice, and such a choice exists exactly when no connected component of
+    this bipartite graph has more edges than vertices.
+    """
+    parent: dict = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for x, y in points:
+        parent[find(("x", x))] = find(("y", y))
+    edges = collections.Counter(find(("x", x)) for x, _ in points)
+    vertices = collections.Counter(find(v) for v in parent)
+    return all(edges[root] <= vertices[root] for root in edges)
+
+
+def subsets_of_grid(side, d, k):
+    """Every k-subset of [side]^d as an (N, k, d) array, in lexicographic order."""
+    cells = list(itertools.product(range(side), repeat=d))
+    return np.array(list(itertools.combinations(cells, k)), dtype=np.int64).reshape(-1, k, d)
 
 
 point_sets = st.builds(
@@ -147,6 +180,59 @@ def test_noncoverable_two_is_the_smallest_possible():
         set(s.points) == set(grid(3, 2).points)
     rep = coverability_sweep(2, "exhaustive")
     assert rep.ok and rep.sets_checked == 53130
+
+
+@pytest.mark.parametrize("k, noncoverable", [(5, 0), (6, 48), (7, 768)])
+def test_kernel_matches_matching_on_every_small_grid_set(k, noncoverable):
+    # 4368, 8008 and 11440 sets; the 2x3 subgrids are among the failures
+    points = subsets_of_grid(4, 2, k)
+    got = _coverable_mask(points)
+    want = [isinstance(coverable(PointSet.of(2, p.tolist())), AxisPartition) for p in points]
+    assert got.tolist() == want
+    assert np.count_nonzero(~got) == noncoverable
+
+
+def test_kernel_in_one_and_three_dimensions():
+    for k in (1, 2, 3):
+        points = subsets_of_grid(3, 1, k)
+        assert _coverable_mask(points).tolist() == [k == 1] * len(points)
+    rng = np.random.default_rng(5)
+    points = np.array([rng.choice(27, 6, replace=False) for _ in range(200)])
+    points = np.stack(np.unravel_index(np.sort(points), (3, 3, 3)), axis=-1)
+    want = [isinstance(coverable(PointSet.of(3, p.tolist())), AxisPartition) for p in points]
+    assert _coverable_mask(points).tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12))
+def test_closed_form_agrees_with_bruteforce_and_kernel(cells):
+    s = PointSet.of(2, cells)
+    want = coverable_d2(s.points)
+    assert coverable_bruteforce(s) == want
+    assert _coverable_mask(np.array([s.points])).tolist() == [want]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_noncoverable_construction_is_critical(d):
+    # the construction has 1 + sum_{i<=d} i^i points, so every deletion
+    # leaves a set of the size the h-lower lemma speaks about
+    s = noncoverable_construction(d)
+    assert len(s) == 1 + sum(i**i for i in range(1, d + 1))
+    for p in s.points:
+        rest = PointSet.of(d, (q for q in s.points if q != p))
+        assert isinstance(coverable(rest), AxisPartition)
+
+
+def test_exhaustive_sweep_reports_failures_in_lexicographic_order(monkeypatch):
+    # no five-point set fails, so plant failures: every set from (0, 0) to (4, 4)
+    monkeypatch.setattr(cover, "_coverable_mask", lambda points: ~(
+        (points[:, 0] == 0).all(axis=1) & (points[:, -1] == 4).all(axis=1)))
+    rep = coverability_sweep(2, "exhaustive")
+    cells = itertools.product(range(5), repeat=2)
+    want = [PointSet.of(2, c) for c in itertools.combinations(cells, 5)
+            if c[0] == (0, 0) and c[-1] == (4, 4)]
+    assert rep.sets_checked == 53130 and not rep.ok
+    assert list(rep.failures) == want and len(want) == 1771
 
 
 def test_coverability_sweep_random_mode_is_seeded():
