@@ -2,7 +2,8 @@
 
 Every run prints one JSON report per line on stdout — nothing else — with
 fields status/payload/elapsed_ms, and exits 0 (verified), 1 (falsified),
-2 (usage or error), or 3 (infeasible under the budget).
+2 (usage or error, or stdout closed by its reader), or 3 (infeasible under
+the budget).
 """
 
 from __future__ import annotations
@@ -499,6 +500,16 @@ _VERB_HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # the reader closed stdout: stop with exit 2, and point stdout at
+        # devnull so that the interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

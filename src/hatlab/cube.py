@@ -8,13 +8,17 @@ around the forbidden point.  The *two-intersection* of a family is the set
 of cells lying in at least two members (by index, so duplicates count).
 
 Every sweep folds whole families at once with `_fold`: uint64 mask arrays,
-one broadcast axis per family member (the axes of ``np.ix_``).
+one broadcast axis per family member (the axes of ``np.ix_``).  The
+bipartite constructions find the product cubes inside such unions with
+`_cube_centres`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -240,6 +244,22 @@ def prism_cover_impossible() -> bool:
 # partitions of [4]^3 and bipartite strategies
 
 
+def _check_partition(parts: Sequence[int], cells: int, what: str) -> None:
+    """Raise ParameterError unless parts are disjoint cell sets covering [cells]."""
+    full = (1 << cells) - 1
+    if not all(0 <= p <= full for p in parts):
+        raise ParameterError(f"{what} has an out-of-grid part")
+    union = functools.reduce(operator.or_, parts, 0)
+    if union != full or sum(p.bit_count() for p in parts) != cells:
+        raise ParameterError(f"{what} does not partition the {cells}-cell grid")
+
+
+def _cube_centres(unions, cubes) -> np.ndarray:
+    """Per union (any shape), the least centre a with cubes[a] inside it, or -1."""
+    inside = (unions[..., None] & cubes) == cubes
+    return np.where(inside.any(-1), inside.argmax(-1), -1)
+
+
 @dataclass(frozen=True)
 class PartitionTuple:
     """Ordered partition of [4]^3 into four 64-bit parts (one per color)."""
@@ -249,21 +269,13 @@ class PartitionTuple:
     def __post_init__(self) -> None:
         if len(self.parts) != 4:
             raise ParameterError("partition tuple needs exactly 4 parts")
-        union = 0
-        count = 0
-        for p in self.parts:
-            if not 0 <= p <= FULL_MASK:
-                raise ParameterError("parts must be 64-bit cell sets")
-            union |= p
-            count += p.bit_count()
-        if union != FULL_MASK or count != 64:
-            raise ParameterError("parts must partition all 64 cells")
+        _check_partition(self.parts, 64, "partition tuple")
 
 
 def check_partition_condition(p: PartitionTuple, q: PartitionTuple, r: PartitionTuple) -> bool:
     """Does every union P_i | Q_j | R_k contain a full 3x3x3 cube?"""
     union = _fold(np.ix_(*(np.array(t.parts, dtype=np.uint64) for t in (p, q, r))))[0]
-    return bool(((union[..., None] & _CUBES) == _CUBES).any(-1).all())
+    return bool((_cube_centres(union, _CUBES) >= 0).all())
 
 
 def strategy_from_bipartite_partitions(
@@ -280,80 +292,39 @@ def strategy_from_bipartite_partitions(
     ball, and shares a coordinate with the center — some left vertex wins.
 
     Cell indexing of the left grid: coloring (c_0..c_{m-1}) is cell
-    sum(c_t * q**t), matching the guess-table convention.
+    sum(c_t * q**t), matching the guess-table convention.  Masks are uint64
+    up to 64 cells and Python ints (object arrays) beyond.
     """
     if m < 1 or q < 2:
         raise ParameterError("need m >= 1 and q >= 2")
     if len(partitions) != m:
         raise ParameterError(f"need {m} partitions, got {len(partitions)}")
     cells = q**m
-    full = (1 << cells) - 1
     for j, parts in enumerate(partitions):
         if len(parts) != q:
             raise ParameterError(f"partition {j} has {len(parts)} parts, expected {q}")
-        union = 0
-        count = 0
-        for p in parts:
-            if not 0 <= p <= full:
-                raise ParameterError(f"partition {j} has an out-of-grid part")
-            union |= p
-            count += p.bit_count()
-        if union != full or count != cells:
-            raise ParameterError(f"partition {j} does not partition the {cells}-cell grid")
+        _check_partition(parts, cells, f"partition {j}")
+    mask_dt = np.uint64 if cells <= 64 else object
+    parts = np.array(partitions, dtype=mask_dt)
+    cubes = np.array(grid_cube_masks(q, m), dtype=mask_dt)
 
-    cubes = grid_cube_masks(q, m)
-
-    # one ball center per choice of parts, or a named failure
-    centers = []
-    for code in range(q**m):
-        union = 0
-        for j in range(m):
-            union |= partitions[j][code // q**j % q]
-        hole = full & ~union
-        for a in range(cells):
-            if cubes[a] & hole == 0:
-                centers.append(a)
-                break
-        else:
-            combo = tuple(code // q**j % q for j in range(m))
-            raise PartitionConditionError(
-                f"parts {combo} union to no product cube", combo)
+    # one ball center per choice of parts: axes reversed, so the C-order flat
+    # index of the union of parts (c_0..c_{m-1}) is sum(c_j * q**j)
+    unions = _fold(np.ix_(*parts[::-1]))[0].ravel()
+    step = max(1, (1 << 13) // cells)  # each containment table holds <= 2^13 pairs
+    centres = np.concatenate([_cube_centres(unions[s:s + step], cubes)
+                              for s in range(0, cells, step)])
+    if (centres < 0).any():
+        code = int(np.argmax(centres < 0))
+        combo = tuple(code // q**j % q for j in range(m))
+        raise PartitionConditionError(f"parts {combo} union to no product cube", combo)
 
     dt = np.min_scalar_type(q - 1)
-    tables: list[np.ndarray] = []
-    for t in range(m):  # left vertices guess the center's t-th coordinate
-        tbl = np.array([centers[code] // q**t % q for code in range(q**m)], dtype=dt)
-        tables.append(tbl)
-    for j in range(m):  # right vertices guess their partition's class
-        tbl = np.zeros(cells, dtype=dt)
-        for i, p in enumerate(partitions[j]):
-            for b in range(cells):
-                if p >> b & 1:
-                    tbl[b] = i
-        tables.append(tbl)
-    return Strategy(q, tuple(tables))
-
-
-def k22_valid_pair_matrix() -> tuple[np.ndarray, np.ndarray]:
-    """Internal precomputation for the K_{2,2} search: per-code part masks
-    and, for every possible part mask, the Q codes it is compatible with."""
-    codes = np.arange(3**9, dtype=np.int64)
-    part_masks = np.zeros((3, 3**9), dtype=np.int64)
-    for t in range(9):
-        digit = (codes // 3 ** (8 - t)) % 3
-        for i in range(3):
-            part_masks[i] += (digit == i) << t
-
-    squares = np.array(grid_cube_masks(3, 2), dtype=np.int64)
-    covers = ((np.arange(512)[:, None] & squares) == squares).any(-1)
-
-    compatible = np.empty((512, 3**9), dtype=bool)
-    for pm in range(512):
-        acc = covers[pm | part_masks[0]]
-        acc = acc & covers[pm | part_masks[1]]
-        acc = acc & covers[pm | part_masks[2]]
-        compatible[pm] = acc
-    return part_masks, compatible
+    cell_ids = np.arange(cells).astype(mask_dt)
+    # left vertices guess the center's t-th coordinate, right ones their part
+    left = [(centres // q**t % q).astype(dt) for t in range(m)]
+    right = [((row[:, None] >> cell_ids) & 1).argmax(0).astype(dt) for row in parts]
+    return Strategy(q, tuple(left + right))
 
 
 def k22_certificate_search() -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -364,16 +335,20 @@ def k22_certificate_search() -> tuple[tuple[int, int, int], tuple[int, int, int]
     tuple of per-cell class digits, cell 0 most significant).  The result
     feeds strategy_from_bipartite_partitions(2, 3, ...).
     """
-    part_masks, compatible = k22_valid_pair_matrix()
-    for code in range(3**9):
-        p = tuple(int(part_masks[i][code]) for i in range(3))
-        if not (p[0] and p[1] and p[2]):
+    digits = np.arange(3**9) // 3 ** np.arange(8, -1, -1)[:, None] % 3  # (cell, code)
+    part_masks = (1 << np.arange(9)) @ (digits == np.arange(3)[:, None, None])  # (part, code)
+    squares = np.array(grid_cube_masks(3, 2), dtype=np.uint64)
+    covers = _cube_centres(np.arange(512, dtype=np.uint64), squares) >= 0
+    # compatible[pm, code]: pm joined with each part of Q = code contains a square
+    compatible = np.empty((512, 3**9), dtype=bool)
+    for pm in range(512):
+        np.logical_and.reduce(covers[pm | part_masks], out=compatible[pm])
+    for p in zip(*part_masks.tolist()):
+        if not all(p):
             continue  # an empty part would need two disjoint squares in 9 cells
-        valid = compatible[p[0]] & compatible[p[1]] & compatible[p[2]]
-        hits = np.flatnonzero(valid)
-        if len(hits):
-            qc = int(hits[0])
-            return p, tuple(int(part_masks[i][qc]) for i in range(3))
+        hits = np.flatnonzero(compatible[p[0]] & compatible[p[1]] & compatible[p[2]])
+        if hits.size:
+            return p, tuple(part_masks[:, hits[0]].tolist())
     raise ParameterError("no valid partition pair exists")  # pragma: no cover
 
 

@@ -67,6 +67,19 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(lines[0])["payload"] == {"lemma": "three-cubes", "minimum": 20}
 
 
+def test_closed_stdout_stops_quietly():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "hatlab", "lemma", "all"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["status"] == "verified"
+    proc.stdout.close()  # the next report hits a closed pipe
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert stderr == b""
+
+
 def test_construct_verify_round_trip(capsys, tmp_path):
     out = str(tmp_path / "w32.json")
     code, reports = run(capsys, "construct", "windmill-2k2",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from hatlab import (
     CUBE_MASKS,
     InfeasibleError,
     ParameterError,
+    PartitionConditionError,
     PartitionTuple,
     build_graph,
     check_partition_condition,
@@ -60,7 +63,7 @@ def test_cube_masks_shape():
     assert len(CUBE_MASKS) == 64
     assert len(set(CUBE_MASKS)) == 64
     for p, mask in zip(itertools.product(range(4), repeat=3), CUBE_MASKS):
-        assert mask == cube_mask(tuple(reversed(p))) or mask.bit_count() == 27
+        assert mask == cube_mask(tuple(reversed(p)))
     # a cube avoids exactly its center's coordinates
     c = cube_mask((1, 2, 3))
     assert c.bit_count() == 27
@@ -129,6 +132,12 @@ def test_general_grid_masks():
     assert all(m.bit_count() == 4 for m in squares)
     with pytest.raises(InfeasibleError):
         grid_cube_masks(200, 3)
+    # entry a is {x : x_t != a_t for all t}, cell x and center a numbered sum(x_t * q**t)
+    for q, m in [(2, 1), (3, 2), (4, 2), (4, 3)]:
+        points = [tuple(c // q**t % q for t in range(m)) for c in range(q**m)]
+        want = [sum(1 << c for c, x in enumerate(points)
+                    if all(xt != at for xt, at in zip(x, a))) for a in points]
+        assert grid_cube_masks(q, m) == want
 
 
 def test_prisms():
@@ -164,6 +173,11 @@ def test_cube_or_cube_minus_point():
 # --- bipartite partitions ---------------------------------------------------
 
 
+@functools.cache
+def k22_certificate():
+    return k22_certificate_search()
+
+
 def test_k22_certificate_wins_everything():
     p_parts, q_parts = k22_certificate_search()
     strat = strategy_from_bipartite_partitions(2, 3, [p_parts, q_parts])
@@ -190,6 +204,77 @@ def test_bipartite_partition_validation():
         strategy_from_bipartite_partitions(2, 3, [[full, 0], [full, 0, 0]])
 
 
+def bipartite_strategy_reference(m, q, partitions):
+    """The per-code center loop: guess tables, or the first combo with no cube."""
+    cells = q**m
+    cubes = grid_cube_masks(q, m)
+    centers = []
+    for code in range(cells):
+        combo = tuple(code // q**j % q for j in range(m))
+        union = 0
+        for j, i in enumerate(combo):
+            union |= partitions[j][i]
+        center = next((a for a in range(cells) if cubes[a] & ~union == 0), None)
+        if center is None:
+            return combo
+        centers.append(center)
+    dt = np.min_scalar_type(q - 1)
+    left = [[a // q**t % q for a in centers] for t in range(m)]
+    right = [[next(i for i, p in enumerate(parts) if p >> b & 1) for b in range(cells)]
+             for parts in partitions]
+    return [(dt, table) for table in left + right]
+
+
+def bipartite_strategy_outcome(m, q, partitions):
+    """(dtype, entries) per guess table, or the combo the construction refused."""
+    try:
+        tables = strategy_from_bipartite_partitions(m, q, partitions).tables
+    except PartitionConditionError as exc:
+        return exc.combo
+    return [(t.dtype, t.tolist()) for t in tables]
+
+
+def parts_from_colors(colors, q):
+    return [sum(1 << i for i, c in enumerate(colors) if c == part) for part in range(q)]
+
+
+# (2,9) and (7,2) have 81 and 128 cells: masks past 64 cells are object arrays,
+# and (7,2) splits the centres into two containment tables
+@pytest.mark.parametrize("m,q", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 9), (7, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bipartite_strategy_matches_reference(m, q, data):
+    colorings = st.lists(st.integers(0, q - 1), min_size=q**m, max_size=q**m)
+    partitions = [parts_from_colors(data.draw(colorings), q) for _ in range(m)]
+    assert (bipartite_strategy_outcome(m, q, partitions)
+            == bipartite_strategy_reference(m, q, partitions))
+
+
+permutations3 = st.lists(st.permutations(range(3)), min_size=2, max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(axes=st.permutations(range(2)), values=permutations3, relabel=permutations3,
+       swap=st.booleans())
+def test_bipartite_strategy_matches_reference_on_k22_images(axes, values, relabel, swap):
+    # grid symmetries and part relabellings keep the K_{2,2} certificate valid
+    def image(parts, order):
+        out = [0, 0, 0]
+        for i, part in enumerate(parts):
+            for c in range(9):
+                x = (c % 3, c // 3)
+                y = [values[t][x[axes[t]]] for t in range(2)]
+                out[order[i]] |= (part >> c & 1) << (y[0] + 3 * y[1])
+        return out
+
+    partitions = [image(parts, order) for parts, order in zip(k22_certificate(), relabel)]
+    if swap:
+        partitions.reverse()
+    got = bipartite_strategy_outcome(2, 3, partitions)
+    assert isinstance(got, list)
+    assert got == bipartite_strategy_reference(2, 3, partitions)
+
+
 def test_partition_tuple_validation():
     quads = grid_cube_masks(4, 3)[:4]
     with pytest.raises(ParameterError):
@@ -210,8 +295,7 @@ def partition_condition_reference(p, q, r):
 
 
 def partitions_from_colors(colors):
-    return PartitionTuple(tuple(sum(1 << i for i, c in enumerate(colors) if c == part)
-                                for part in range(4)))
+    return PartitionTuple(tuple(parts_from_colors(colors, 4)))
 
 
 @settings(max_examples=100, deadline=None)

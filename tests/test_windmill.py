@@ -461,6 +461,7 @@ def test_certificate_file_refuses_oversized_masks(tmp_path):
      "3f3cff05a1883e9f320af841df232329e21bf2b9f3c55debac47fe7061bd0f6e"),
     (["windmill-dn", "-d", "2", "-n", "3", "--certificate"],
      "55624706be9c091710af9a095d649617f46bfd250be6cddaa4794dcd9c968b7e"),
+    (["k22"], "a70c06fa2c9f8e4c61b3a9dc40aa5643f1cf31d819aaff350e242f4900eb18dd"),
 ])
 def test_constructed_files_are_byte_stable(capsys, tmp_path, argv, digest):
     out = tmp_path / "f.json"
