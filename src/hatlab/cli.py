@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None,
                        help="override operation budget (or set HATLAB_BUDGET)")
         p.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (default: all cores)")
+                       help="cap worker threads (default: the core count, at most 8)")
         p.add_argument("--trials", type=int, default=trials,
                        help=f"random trials where applicable (default {trials})")
 

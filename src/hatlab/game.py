@@ -10,7 +10,9 @@ Conventions, fixed across the package:
 
 * Guess tables are dense.  Vertex v with neighbors u_1 < ... < u_k indexes
   its table by sum(c_{u_j} * q**(j-1)) — the smallest neighbor is the least
-  significant digit.
+  significant digit.  `_table_cells` computes these cells for explicit
+  assignment rows; every vectorised evaluation outside the full sweep
+  reads them.
 * Assignments are tuples (c_0, ..., c_{n-1}) enumerated in lexicographic
   order, so a reported counterexample is the lexicographically least losing
   assignment and reports do not depend on chunking or thread count.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -39,6 +40,7 @@ ColorAssignment = tuple[int, ...]
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**9
 DEFAULT_SEARCH_BUDGET = 10**6
+MAX_SEARCH_ASSIGNMENTS = 1 << 16  # larger games are refused before the search allocates
 DEFAULT_STRATEGY_SPACE_BUDGET = 10**8
 DEFAULT_CHUNK = 1 << 19  # cells of [q]^n per verification work item
 MAX_AXES = 64  # numpy's limit on the dimensions of one array
@@ -271,10 +273,32 @@ def _chunk_hits(g: Graph, guesses: list[np.ndarray], q: int,
         yield t == own
 
 
-def _member_hits(g: Graph, guesses: list[np.ndarray], mat: np.ndarray) -> Iterator[np.ndarray]:
+def _table_cells(g: Graph, q: int, rows: np.ndarray) -> np.ndarray:
+    """The cell of every vertex's table that each assignment row selects:
+    column v of the (N, n) int64 result is sum_j rows[:, u_j] * q**j over v's
+    neighbors u_0 < u_1 < ...  Like the guess tensors it takes at most
+    MAX_AXES digits, so restricted and full checks refuse the same strategies.
+    """
+    _axes_guard(max(map(len, g.adjacency), default=0), "a guess table")
+    cells = np.zeros((len(rows), g.n_vertices), dtype=np.int64, order="F")
+    for v, nbrs in enumerate(g.adjacency):
+        for u in reversed(nbrs):  # Horner: the smallest neighbor ends least significant
+            cells[:, v] *= q
+            cells[:, v] += rows[:, u]
+    return cells
+
+
+def _lex_rows(q: int, n: int) -> np.ndarray:
+    """All q**n assignments as int64 rows in lexicographic order, by integer
+    division (np.indices would stop at numpy's 64 axes)."""
+    return np.arange(q**n, dtype=np.int64)[:, None] // q ** np.arange(n - 1, -1, -1) % q
+
+
+def _member_hits(g: Graph, s: Strategy, mat: np.ndarray) -> Iterator[np.ndarray]:
     """Per vertex, "v guesses its own color" on each row of an assignment matrix."""
-    for v, t in enumerate(guesses):
-        yield t[tuple(mat[:, u] for u in g.adjacency[v])] == mat[:, v]
+    cells = _table_cells(g, s.q, mat)
+    for v, t in enumerate(s.tables):
+        yield t[cells[:, v]] == mat[:, v]
 
 
 def _any_hit(hits: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
@@ -324,18 +348,18 @@ def verify_strategy(
     """
     _check_strategy_shape(g, q, s)
     n = g.n_vertices
-    guesses = _guess_tensors(g, s)
 
     if restriction is not None:
         mat = _restriction_matrix(g, q, restriction)
         if len(mat) == 0:
             return VerificationReport(True, None, 0)
-        won = _any_hit(_member_hits(g, guesses, mat), (len(mat),))
+        won = _any_hit(_member_hits(g, s, mat), (len(mat),))
         if won.all():
             return VerificationReport(True, None, len(mat))
         first = int(np.argmin(won))
         return VerificationReport(False, tuple(int(c) for c in mat[first]), first + 1)
 
+    guesses = _guess_tensors(g, s)
     total = q**n
     if total > budget:
         raise InfeasibleError(
@@ -356,10 +380,7 @@ def verify_strategy(
 
 
 def _decode_assignment(index: int, q: int, n: int) -> ColorAssignment:
-    out = []
-    for v in range(n):
-        out.append(index // q ** (n - 1 - v) % q)
-    return tuple(out)
+    return tuple(index // q ** (n - 1 - v) % q for v in range(n))
 
 
 def correct_guess_counts(
@@ -373,11 +394,11 @@ def correct_guess_counts(
     """Number of correct guessers per assignment (lexicographic order)."""
     _check_strategy_shape(g, q, s)
     n = g.n_vertices
-    guesses = _guess_tensors(g, s)
     if restriction is not None:
         mat = _restriction_matrix(g, q, restriction)
-        counts, hits = np.zeros(len(mat), dtype=np.int64), _member_hits(g, guesses, mat)
+        counts, hits = np.zeros(len(mat), dtype=np.int64), _member_hits(g, s, mat)
     else:
+        guesses = _guess_tensors(g, s)
         total = q**n
         if total > budget:
             raise InfeasibleError(f"{total} assignments exceed budget {budget}", required=total)
@@ -453,20 +474,10 @@ def max_solvable_set_search(
         raise InfeasibleError(
             f"{space} strategy tuples exceed budget {budget}", required=space)
 
-    assignments = list(itertools.product(range(q), repeat=n))
+    rows = _lex_rows(q, n)
     # per assignment and player: (table index, own color)
-    keyed = []
-    for a in assignments:
-        row = []
-        for i in range(n):
-            idx = 0
-            mul = 1
-            for u in range(n):
-                if u != i:
-                    idx += a[u] * mul
-                    mul *= q
-            row.append((idx, a[i]))
-        keyed.append(row)
+    cells = _table_cells(build_graph("complete", n), q, rows)
+    keyed = [list(zip(c, r)) for c, r in zip(cells.tolist(), rows.tolist())]
 
     best = 0
     all_tables = list(itertools.product(range(q), repeat=table_size))
@@ -477,7 +488,7 @@ def max_solvable_set_search(
                 won += 1
         if won > best:
             best = won
-            if best == len(assignments):
+            if best == len(keyed):
                 break
     return best
 
@@ -497,67 +508,60 @@ def search_strategy(g: Graph, q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> Se
     """Backtracking search for a winning strategy.
 
     Assignments are scanned in lexicographic order; each uncovered assignment
-    branches on which vertex is designated to guess it correctly, which pins
-    one table cell.  The search is complete: exhausting it proves no winning
-    strategy exists.  `budget` bounds explored branch nodes; running out is
-    reported as neither found nor proven (strategy=None, proven_unwinnable
-    False).
+    branches on which vertex is designated to guess it correctly (open
+    vertices ascending), which pins one table cell.  The search is complete:
+    exhausting it proves no winning strategy exists.  `budget` bounds
+    explored branch nodes; running out is reported as neither found nor
+    proven (strategy=None, proven_unwinnable False).  Games of more than
+    MAX_SEARCH_ASSIGNMENTS assignments raise InfeasibleError before anything
+    is allocated.
     """
     n = g.n_vertices
     if q < 1:
         raise ParameterError("q must be >= 1")
     total = q**n
+    if total > MAX_SEARCH_ASSIGNMENTS:
+        raise InfeasibleError(
+            f"{total} assignments exceed the search cap {MAX_SEARCH_ASSIGNMENTS}", required=total)
+    rows = _lex_rows(q, n)
+    cells, rows = _table_cells(g, q, rows).tolist(), rows.tolist()
     partial: list[list[int]] = [[-1] * (q ** g.degree(v)) for v in range(n)]
     nodes = 0
-    tripped = False
-
-    limit = min(total, budget) + 2000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
-    def advance(a: int) -> bool:
-        nonlocal nodes, tripped
-        while a < total:
-            assn = _decode_assignment(a, q, n)
-            open_cells = []
-            covered = False
-            for v in range(n):
-                idx = 0
-                mul = 1
-                for u in g.adjacency[v]:
-                    idx += assn[u] * mul
-                    mul *= q
-                val = partial[v][idx]
-                if val == assn[v]:
-                    covered = True
-                    break
-                if val == -1:
-                    open_cells.append((v, idx))
-            if covered:
+    stack: list[list] = []  # [assignment, open vertices, branches tried]
+    a = 0
+    while a < total:
+        for t, c, x in zip(partial, cells[a], rows[a]):
+            if t[c] == x:  # a pinned cell already covers assignment a
                 a += 1
-                continue
-            for v, idx in open_cells:
+                break
+        else:
+            stack.append([a, [v for v, (t, c) in enumerate(zip(partial, cells[a])) if t[c] == -1], 0])
+            while stack:  # pin the top frame's next branch, popping exhausted frames
+                frame = stack[-1]
+                b, open_vertices, tried = frame
+                if tried:
+                    v = open_vertices[tried - 1]
+                    partial[v][cells[b][v]] = -1
+                if tried == len(open_vertices):
+                    stack.pop()
+                    continue
                 nodes += 1
                 if nodes > budget:
-                    tripped = True
-                    return False
-                partial[v][idx] = assn[v]
-                if advance(a + 1):
-                    return True
-                partial[v][idx] = -1
-                if tripped:
-                    return False
-            return False
-        return True
+                    return SearchOutcome(None, False, nodes)
+                v = open_vertices[tried]
+                partial[v][cells[b][v]] = rows[b][v]
+                frame[2] = tried + 1
+                a = b + 1
+                break
+            else:
+                return SearchOutcome(None, True, nodes)
 
-    if advance(0):
-        tables = [[x if x >= 0 else 0 for x in t] for t in partial]
-        strat = Strategy.from_lists(q, tables)
-        report = verify_strategy(g, q, strat, budget=max(total, DEFAULT_ASSIGNMENT_BUDGET))
-        if not report.wins:  # pragma: no cover - guards the search itself
-            raise AssertionError("search produced a losing strategy; this is a bug")
-        return SearchOutcome(strat, False, nodes)
-    return SearchOutcome(None, not tripped, nodes)
+    tables = [[x if x >= 0 else 0 for x in t] for t in partial]
+    strat = Strategy.from_lists(q, tables)
+    report = verify_strategy(g, q, strat, budget=max(total, DEFAULT_ASSIGNMENT_BUDGET))
+    if not report.wins:  # pragma: no cover - guards the search itself
+        raise AssertionError("search produced a losing strategy; this is a bug")
+    return SearchOutcome(strat, False, nodes)
 
 
 # ---------------------------------------------------------------------------

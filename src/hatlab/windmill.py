@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificateError, InfeasibleError, ParameterError, file_int
-from .game import MAX_AXES, SolvableSet, Strategy, _digit_sums, _file_strategy, sum_target_strategy
+from .game import (MAX_AXES, SolvableSet, Strategy, _digit_sums, _file_strategy, _table_cells,
+                   build_graph, correct_guess_counts, sum_target_strategy)
 
 MAX_MEMBER_ENUMERATION = 10**7  # cap on the cells of one solvable-set mask
 
@@ -328,8 +329,6 @@ def certificate_disjointness_check(cert: ProductCertificate) -> bool:
 def certificate_blade_check(cert: ProductCertificate) -> bool:
     """Every piece's strategy must win restricted to its solvable set: some
     player guesses right on every cell of the mask."""
-    from .game import build_graph, correct_guess_counts
-
     validate_certificate(cert)
     g = build_graph("complete", cert.k - 1)
     for product in cert.products:
@@ -343,10 +342,6 @@ def certificate_blade_check(cert: ProductCertificate) -> bool:
 
 # ---------------------------------------------------------------------------
 # assembly and evaluation
-
-
-def _blade_vertices(k: int, n: int, j: int) -> list[int]:
-    return [1 + j * (k - 1) + t for t in range(k - 1)]
 
 
 def _blade_flat_tables(cert: ProductCertificate) -> list[list[np.ndarray]]:
@@ -402,28 +397,37 @@ def assemble_windmill_strategy(
     return Strategy(q, (axle.ravel(), *blades))
 
 
+def _certificate_guesses(cert: ProductCertificate, colors: np.ndarray) -> np.ndarray:
+    """Every vertex's guess on each row of a (T, 1 + (k-1)n) int64 color
+    array, evaluated from the certificate without the axle table."""
+    k, n, q = cert.k, cert.n, cert.q
+    m = k - 1
+    by_vertex = np.ascontiguousarray(colors.T)  # one contiguous row per vertex
+    blades = [by_vertex[1 + j * m:1 + (j + 1) * m] for j in range(n)]
+    in_product = np.ones((q, len(colors)), dtype=bool)
+    for i, product in enumerate(cert.products):
+        for piece, cols in zip(product, blades):
+            in_product[i] &= ~piece.solvable.mask[tuple(cols)]
+    # argmax finds the first True, or 0 when there is none: leftovers
+    # go to class 0, as in the assembled axle table
+    guesses = [np.argmax(in_product, axis=0)]
+    # blade j and the axle form a K_k on the columns (axle, blade j), where
+    # blade vertex t is vertex t + 1 and its flat table has K_k's layout
+    clique = build_graph("complete", k)
+    for tables, cols in zip(_blade_flat_tables(cert), blades):
+        cells = _table_cells(clique, q, np.vstack((by_vertex[:1], cols)).T)
+        guesses += [table[cells[:, 1 + t]] for t, table in enumerate(tables)]
+    return np.stack(guesses).T
+
+
 def windmill_guesses(cert: ProductCertificate, assignment: Sequence[int]) -> tuple[int, ...]:
     """Evaluate the certificate's strategy on one assignment without tables."""
     validate_certificate(cert)
-    k, n, q = cert.k, cert.n, cert.q
-    if len(assignment) != 1 + (k - 1) * n:
+    if len(assignment) != 1 + (cert.k - 1) * cert.n:
         raise ParameterError("assignment length does not match the windmill")
-    if any(not 0 <= c < q for c in assignment):
-        raise ParameterError(f"assignment uses colors outside [{q}]")
-    a0 = assignment[0]
-    blades = [tuple(assignment[v] for v in _blade_vertices(k, n, j)) for j in range(n)]
-    cls = 0
-    for i in range(q):
-        if not any(cert.products[i][j].solvable.mask[blades[j]] for j in range(n)):
-            cls = i
-            break
-    guesses = [cls]
-    for j in range(n):
-        tables = cert.products[a0][j].strategy.tables
-        for t in range(k - 1):
-            mates = blades[j][:t] + blades[j][t + 1:]
-            guesses.append(int(tables[t][sum(c * q**r for r, c in enumerate(mates))]))
-    return tuple(guesses)
+    if any(not 0 <= c < cert.q for c in assignment):
+        raise ParameterError(f"assignment uses colors outside [{cert.q}]")
+    return tuple(_certificate_guesses(cert, np.array([assignment], dtype=np.int64))[0].tolist())
 
 
 def certificate_random_loss_check(
@@ -439,11 +443,8 @@ def certificate_random_loss_check(
         raise ParameterError(f"trials must be >= 0, got {trials}")
     if not certificate_disjointness_check(cert):
         raise CertificateError("products are not pairwise disjoint")
-    k, n, q = cert.k, cert.n, cert.q
-    m = k - 1
-    n_vertices = 1 + m * n
+    n_vertices = 1 + (cert.k - 1) * cert.n
     rng = np.random.default_rng(seed)
-    flat = _blade_flat_tables(cert)
 
     losses = 0
     chunk = 1 << 18
@@ -451,19 +452,9 @@ def certificate_random_loss_check(
     while remaining > 0:
         t_now = min(chunk, remaining)
         remaining -= t_now
-        colors = rng.integers(0, q, size=(t_now, n_vertices), dtype=np.int64)
-        blades = [tuple(colors[:, v] for v in _blade_vertices(k, n, j)) for j in range(n)]
-        in_product = np.ones((q, t_now), dtype=bool)
-        for i, product in enumerate(cert.products):
-            for piece, cols in zip(product, blades):
-                in_product[i] &= ~piece.solvable.mask[cols]
-        # argmax finds the first True, or 0 when there is none: leftovers
-        # go to class 0, as in the assembled axle table
-        correct = np.argmax(in_product, axis=0) == colors[:, 0]
-        for j, cols in enumerate(blades):
-            for t in range(m):
-                seen = (colors[:, 0],) + cols[:t] + cols[t + 1:]
-                correct |= flat[j][t][sum(c * q**r for r, c in enumerate(seen))] == cols[t]
+        colors = rng.integers(0, cert.q, size=(t_now, n_vertices), dtype=np.int64)
+        # compared vertex by vertex, the layout _certificate_guesses builds
+        correct = (_certificate_guesses(cert, colors).T == colors.T).any(axis=0)
         losses += int(t_now - np.count_nonzero(correct))
     return losses
 

@@ -146,6 +146,18 @@ def test_search_exit_codes(capsys, tmp_path):
     assert code == 3 and reports[0]["status"] == "infeasible"
 
 
+@pytest.mark.parametrize("spec, q", [("complete:12", 12), ("complete:9", 9)])
+def test_oversized_searches_are_refused_before_allocating(capsys, spec, q):
+    started = time.perf_counter()
+    code = main(["search", "-g", spec, "-q", str(q), "--budget", "10"])
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    (line,) = out.splitlines()
+    report = json.loads(line)
+    assert report["status"] == "infeasible" and report["payload"]["required"] == q**q
+
+
 def test_budget_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("HATLAB_BUDGET", "4")
     code, reports = run(capsys, "search", "-g", "complete:3", "-q", "3")

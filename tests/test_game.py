@@ -7,8 +7,11 @@ them misreads the conventions.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -245,6 +248,22 @@ def test_strategy_guesses_matches_oracle():
     for assignment in itertools.product(range(3), repeat=4):
         assert strategy_guesses(g, 3, s, assignment) == \
             oracle_guesses(g, 3, tables, assignment)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_table_cells_match_strategy_guesses(data):
+    n = data.draw(st.integers(0, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = custom_graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    q = data.draw(st.integers(1, 4))
+    s = Strategy.from_lists(q, random_tables(g, q, random.Random(data.draw(st.integers(0, 2**31)))))
+    rows = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64).reshape(q**n, n)
+    cells = game_module._table_cells(g, q, rows)
+    assert cells.shape == (q**n, n) and cells.dtype == np.int64
+    for row, cell in zip(rows, cells):
+        got = tuple(int(s.tables[v][cell[v]]) for v in range(n))
+        assert got == strategy_guesses(g, q, s, tuple(row.tolist()))
 
 
 # --- broadcast kernel against the scalar path -------------------------------
@@ -516,6 +535,69 @@ def test_search_agrees_with_known_numbers():
     for n in (1, 2):
         outcome = search_strategy(build_graph("complete", n), n + 1, budget=10**6)
         assert outcome.proven_unwinnable
+
+
+# Pinned search outcomes: (graph, q, budget, nodes_explored, proven_unwinnable,
+# sha256 of the found tables' JSON or None).  Any change to the assignment
+# order, the branch order or the node count moves one of them.
+PIN_GRAPHS = {
+    "K2": (2, [(0, 1)]),
+    "P3": (3, [(0, 1), (1, 2)]),
+    "K3": (3, [(0, 1), (0, 2), (1, 2)]),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "K13": (4, [(0, 1), (0, 2), (0, 3)]),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "paw": (4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "diamond": (4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    "K4": (4, list(itertools.combinations(range(4), 2))),
+}
+SEARCH_PINS = [
+    ("K2", 2, 200000, 6, False, "c1b92cfd1182059c03f2934cec0ee71e1df9f08ff9f53dec0f3e468e62a0626c"),
+    ("P3", 2, 200000, 8, False, "705732d641c107e146127180ab3935e57e5f4d0a2cc7f372826c8c15d24ffafb"),
+    ("K3", 2, 200000, 10, False, "c3a936eb14deca8707f8cbbbaaab81df0d4fec430530dad783f98e91023fc7d3"),
+    ("P4", 2, 200000, 10, False, "3593d103495e7f4d99c425dddfe8cf552b142b013c99744066389f13b17a8600"),
+    ("K13", 2, 200000, 28, False, "7defc559c8074d6e0cede29ce58652e4bad0f807391bd0b24b902f68c34128c6"),
+    ("C4", 2, 200000, 12, False, "365553666a8f811cc0f41607f7a225d7877c8c4eb403a3ae29e14c4f1d53a199"),
+    ("paw", 2, 200000, 12, False, "255c149e4ae52297d4ebd6c016a422b084378fd0ccf046f6a8bbfc2cf5e3d645"),
+    ("diamond", 2, 200000, 14, False,
+     "255b7b4c1e89b3fa193583681a00ab41ac9d030e66b5840c33a513c8776c6d7c"),
+    ("K4", 2, 200000, 18, False, "8341b9a2f0af1d0f188d1cc0c33c0be79897fb559ae3247c3c264c6a8154383c"),
+    ("K2", 3, 200000, 16, True, None),
+    ("P3", 3, 200000, 2116, True, None),
+    ("K3", 3, 200000, 107793, False,
+     "0937f4e205ecf8b787f92c7a71065df109e7418c34095b3b70bfad45e9766e63"),
+    ("diamond", 3, 200000, 107872, False,
+     "3a7a6257af5263d6e343e85eca90c4ad49b3d1dad76dd6fc7de7af7fc6d1e35b"),
+    ("C4", 3, 5000, 5001, False, None),  # budget exhausted
+]
+
+
+@pytest.mark.parametrize("label, q, budget, nodes, proven, digest", SEARCH_PINS,
+                         ids=[f"{p[0]}-q{p[1]}-b{p[2]}" for p in SEARCH_PINS])
+def test_search_outcomes_are_pinned(label, q, budget, nodes, proven, digest):
+    outcome = search_strategy(custom_graph(*PIN_GRAPHS[label]), q, budget=budget)
+    tables = None if outcome.strategy is None else outcome.strategy.table_lists()
+    got = None if tables is None else hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+    assert (outcome.nodes_explored, outcome.proven_unwinnable, got) == (nodes, proven, digest)
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        assert search_strategy(build_graph("complete", 3), 3).strategy is not None
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def test_search_refuses_games_past_the_assignment_cap():
+    # the cap admits every search in the tests and the benchmark (at most 4^4)
+    assert game_module.MAX_SEARCH_ASSIGNMENTS == 2**16
+    assert search_strategy(custom_graph(16, []), 2, budget=10).nodes_explored == 11
+    with pytest.raises(InfeasibleError) as exc:
+        search_strategy(custom_graph(17, []), 2, budget=10)
+    assert exc.value.required == 2**17
 
 
 # --- lifting ----------------------------------------------------------------
