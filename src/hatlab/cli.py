@@ -188,19 +188,12 @@ def _lemma_parity(args: argparse.Namespace) -> LemmaResult:
 
 def _lemma_counting(args: argparse.Namespace) -> LemmaResult:
     mode = args.mode or ("parity" if args.k is not None else "residue")
-    if mode == "parity":
-        if args.k is None:
-            raise ParameterError("counting --mode parity needs -k")
-        holds = windmill.parity_counting_check(args.k)
-        return ("verified" if holds else "falsified",
-                {"mode": "parity", "k": args.k, "holds": holds})
-    if mode != "residue":
-        raise ParameterError(f"unknown counting mode {mode!r}")
-    if args.d is None or args.n is None:
-        raise ParameterError("counting --mode residue needs -d and -n")
-    holds = windmill.residue_counting_check(args.d, args.n)
-    return ("verified" if holds else "falsified",
-            {"mode": "residue", "d": args.d, "n": args.n, "holds": holds})
+    keys = {"parity": ("k",), "residue": ("d", "n")}.get(mode, ())
+    params = {key: getattr(args, key) for key in keys}
+    if None in params.values():
+        raise ParameterError(f"counting --mode {mode} needs -" + " and -".join(keys))
+    holds = windmill.counting_inequality_check(mode, **params)
+    return ("verified" if holds else "falsified", {"mode": mode, **params, "holds": holds})
 
 
 def _windmill_certificate(args: argparse.Namespace) -> windmill.ProductCertificate:
@@ -524,7 +517,7 @@ def _run(argv: list[str] | None) -> int:
         if exc.required is not None:
             payload["required"] = exc.required
         return _emit("infeasible", payload, started)
-    except (HatLabError, OSError, json.JSONDecodeError) as exc:
+    except (HatLabError, OSError) as exc:
         return _emit("error", {"message": str(exc)}, started)
 
 

@@ -13,7 +13,6 @@ Axes are 1-based in the public API, matching the usual subscript notation.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import HatLabError, InfeasibleError, ParameterError, file_int
+from .errors import (HatLabError, InfeasibleError, ParameterError, file_int, file_rows, read_json,
+                     write_json)
 
 MAX_DIMENSION = 8
 MAX_POINTS = 10**5
@@ -354,17 +354,9 @@ def loomis_whitney_check(s: PointSet) -> bool:
 
 
 def write_point_set(path: str, s: PointSet) -> None:
-    with open(path, "w") as fh:
-        json.dump({"d": s.d, "points": [list(p) for p in s.points]}, fh)
-        fh.write("\n")
+    write_json(path, {"d": s.d, "points": [list(p) for p in s.points]})
 
 
 def read_point_set(path: str) -> PointSet:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        d = file_int(payload["d"], "d")
-        points = [[file_int(c, "coordinate") for c in p] for p in payload["points"]]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed point-set file {path}: {exc}") from exc
-    return PointSet.of(d, points)
+    return read_json(path, "point-set file", lambda payload: PointSet.of(
+        file_int(payload["d"], "d"), file_rows(payload["points"], "point", MAX_COORD + 1)))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 import re
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError, PartitionConditionError
+from .errors import InfeasibleError, ParameterError, PartitionConditionError, read_json, write_json
 from .game import Strategy
 
 FULL_MASK = (1 << 64) - 1
@@ -369,16 +368,9 @@ def hex_to_mask(s: str) -> int:
 
 
 def write_partition_file(path: str, p: PartitionTuple) -> None:
-    with open(path, "w") as fh:
-        json.dump({"parts": [mask_to_hex(x) for x in p.parts]}, fh)
-        fh.write("\n")
+    write_json(path, {"parts": [mask_to_hex(x) for x in p.parts]})
 
 
 def read_partition_file(path: str) -> PartitionTuple:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        parts = tuple(hex_to_mask(h) for h in payload["parts"])
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed partition file {path}: {exc}") from exc
-    return PartitionTuple(parts)  # type: ignore[arg-type]
+    return read_json(path, "partition file", lambda payload: PartitionTuple(
+        tuple(hex_to_mask(h) for h in payload["parts"])))  # type: ignore[arg-type]

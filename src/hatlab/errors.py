@@ -1,13 +1,16 @@
-"""Exception types shared across the lab.
+"""Exception types shared across the lab, and the one file boundary.
 
 Two broad failure classes: the caller asked for something malformed
 (ParameterError), or the request is well-formed but too large for the
 configured budget (InfeasibleError).  CLI exit codes map onto these.
-file_int is the integer check every file reader applies, so that a bad
-value in a file is a ParameterError too.
+Every file goes through read_json or write_json, and file_int and file_rows
+check the integers read, so whatever is wrong with a file is a ParameterError.
 """
 
-from typing import Any
+import json
+from typing import Any, Callable
+
+import numpy as np
 
 
 class HatLabError(Exception):
@@ -18,11 +21,51 @@ class ParameterError(HatLabError, ValueError):
     """Malformed or out-of-contract arguments (bad shapes, mismatched q, ...)."""
 
 
+def read_json(path: str, what: str, parse: Callable[[dict], Any]) -> Any:
+    """`parse` applied to the JSON object in file `path`; bytes that are not
+    UTF-8 JSON text, any other top level, and a KeyError or TypeError inside
+    `parse` are ParameterErrors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # undecodable, too deep or too long
+        raise ParameterError(f"{what} {path} is not JSON text: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParameterError(f"{what} {path} must hold a JSON object")
+    try:
+        return parse(payload)
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed {what} {path}: {exc}") from exc
+
+
+def write_json(path: str, payload: dict) -> None:
+    """`payload` as one line of JSON text in file `path`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
 def file_int(value: Any, what: str) -> int:
     """A JSON integer read from a file; floats, bools and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def file_rows(rows: Any, what: str, high: int, width: int | None = None) -> np.ndarray | list:
+    """A JSON list of lists of ints (not bools) in [0, high), checked at once:
+    with `width` entries per row, as an int64 array of shape (rows, width);
+    without, the rows as read."""
+    if not isinstance(rows, list) or set(map(type, rows)) - {list}:
+        raise ParameterError(f"{what}s must be a list of lists")
+    if width is not None and set(map(len, rows)) - {width}:
+        raise ParameterError(f"every {what} must have {width} entries")
+    entries = [c for row in rows for c in row]
+    # Python's min and max are exact, so the int64 array below cannot overflow
+    if set(map(type, entries)) - {int} or (
+            entries and not 0 <= min(entries) <= max(entries) < min(high, 1 << 63)):
+        raise ParameterError(f"{what} entries must be integers in [0, {high})")
+    return rows if width is None else np.array(entries, dtype=np.int64).reshape(len(rows), width)
 
 
 class InfeasibleError(HatLabError):

@@ -27,13 +27,12 @@ Conventions, fixed across the package:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError, file_int
+from .errors import InfeasibleError, ParameterError, file_int, file_rows, read_json, write_json
 from .sweep import run_chunks
 
 ColorAssignment = tuple[int, ...]
@@ -320,14 +319,19 @@ def _leading_axes(q: int, n: int) -> int:
 
 
 def _restriction_matrix(g: Graph, q: int, restriction: Iterable[ColorAssignment]) -> np.ndarray:
-    members = sorted(restriction)
-    n = g.n_vertices
-    for a in members:
-        if len(a) != n:
-            raise ParameterError(f"assignment {a} has length {len(a)}, expected {n}")
-        if any(not (0 <= c < q) for c in a):
-            raise ParameterError(f"assignment {a} uses colors outside [{q}]")
-    return np.array(members, dtype=np.int64).reshape(len(members), n)
+    """The members as int64 rows in lexicographic order, duplicates kept."""
+    members, n = list(restriction), g.n_vertices
+    bad = next((a for a in members if len(a) != n), None)
+    if bad is not None:
+        raise ParameterError(f"assignment {bad} has length {len(bad)}, expected {n}")
+    try:
+        mat = np.array(members, dtype=np.int64).reshape(len(members), n)
+    except OverflowError as exc:
+        raise ParameterError(f"an assignment uses colors outside [{q}]") from exc
+    if ((mat < 0) | (mat >= q)).any():
+        raise ParameterError(f"an assignment uses colors outside [{q}]")
+    # np.lexsort sorts by its last key first; a zeros key lets n = 0 sort too
+    return mat[np.lexsort(np.vstack([mat.T[::-1], np.zeros((1, len(mat)), np.int64)]))]
 
 
 def verify_strategy(
@@ -645,68 +649,35 @@ def vertex_cover_bound(g: Graph) -> int:
 
 
 def write_strategy_file(path: str, g: Graph, s: Strategy) -> None:
-    payload = {
+    write_json(path, {
         "graph": {"family": g.family, "params": list(g.params)},
         "q": s.q,
         "tables": s.table_lists(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-
-
-def _file_table(values: object, v: int) -> np.ndarray:
-    """One guess table from a file: a flat list of integers (no bools)."""
-    if not isinstance(values, list) or set(map(type, values)) - {int}:
-        raise ParameterError(f"vertex {v}: table must be a flat list of integers")
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError as exc:
-        raise ParameterError(f"vertex {v}: table entry out of range: {exc}") from exc
-
-
-def _file_strategy(tables: object, q: int, where: str) -> Strategy:
-    """Guess tables from a file: a list of flat integer lists of colors in [q]."""
-    if not isinstance(tables, list):
-        raise ParameterError(f"{where}: tables must be a list")
-    arrays = [_file_table(t, v) for v, t in enumerate(tables)]
-    if any(t.size and (t.min() < 0 or t.max() >= q) for t in arrays):
-        raise ParameterError(f"{where}: guesses must be colors in [{q}]")
-    return Strategy.from_lists(q, arrays)
+    })
 
 
 def read_strategy_file(path: str) -> tuple[Graph, int, Strategy]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        family = payload["graph"]["family"]
+    def parse(payload: dict) -> tuple[Graph, int, Strategy]:
         params = [file_int(p, "graph parameter") for p in payload["graph"]["params"]]
+        g = _graph_from_spec(payload["graph"]["family"], params)
         q = file_int(payload["q"], "q")
-        tables = payload["tables"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed strategy file {path}: {exc}") from exc
-    g = _graph_from_spec(family, params)
-    s = _file_strategy(tables, q, f"strategy file {path}")
-    _check_strategy_shape(g, q, s)
-    return g, q, s
+        s = Strategy.from_lists(q, file_rows(payload["tables"], "guess table", q))
+        _check_strategy_shape(g, q, s)
+        return g, q, s
+
+    return read_json(path, "strategy file", parse)
 
 
 def write_assignment_set(path: str, q: int, n: int, members: Iterable[ColorAssignment]) -> None:
-    payload = {"q": q, "n": n, "members": [list(a) for a in sorted(members)]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, {"q": q, "n": n, "members": [list(a) for a in sorted(members)]})
 
 
 def read_assignment_set(path: str) -> tuple[int, int, tuple[ColorAssignment, ...]]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
+    def parse(payload: dict) -> tuple[int, int, tuple[ColorAssignment, ...]]:
         q, n = file_int(payload["q"], "q"), file_int(payload["n"], "n")
-        members = tuple(tuple(file_int(c, "color") for c in a) for a in payload["members"])
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed assignment-set file {path}: {exc}") from exc
-    for a in members:
-        if len(a) != n or any(not 0 <= c < q for c in a):
-            raise ParameterError(f"assignment {a} does not fit q={q}, n={n}")
-    return q, n, members
+        if not 0 <= n <= MAX_VERTICES:
+            raise ParameterError(f"n must lie in 0..{MAX_VERTICES}, got {n}")
+        members = file_rows(payload["members"], "assignment", q, n)
+        return q, n, tuple(map(tuple, members.tolist()))
+
+    return read_json(path, "assignment-set file", parse)

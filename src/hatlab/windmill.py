@@ -20,15 +20,15 @@ sum-avoiding sets over translates of a difference-disjoint family).
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificateError, InfeasibleError, ParameterError, file_int
-from .game import (MAX_AXES, SolvableSet, Strategy, _digit_sums, _file_strategy, _table_cells,
+from .errors import (CertificateError, InfeasibleError, ParameterError, file_int, file_rows,
+                     read_json, write_json)
+from .game import (MAX_AXES, SolvableSet, Strategy, _digit_sums, _table_cells,
                    build_graph, correct_guess_counts, sum_target_strategy)
 
 MAX_MEMBER_ENUMERATION = 10**7  # cap on the cells of one solvable-set mask
@@ -463,11 +463,20 @@ def certificate_random_loss_check(
 # counting inequalities behind the upper bounds
 
 
+# larger checks are refused before any power is formed; on 2 vCPUs parity at
+# k = 1800 takes ~1 s, and so do the largest residue chains, (6, 6) and (42, 3)
+MAX_COUNTING_PARITY_K = 1800
+MAX_COUNTING_BITS = 3_500_000
+
+
 def parity_counting_check(k: int) -> bool:
     """Solvable sets are outnumbered: (k-1) q^(k-2) < q^(k-1) / 2 for every
     q in [2k-1, 4k], in exact integers."""
     if k < 2:
         raise ParameterError("need k >= 2")
+    if k > MAX_COUNTING_PARITY_K:
+        raise InfeasibleError(
+            f"k = {k} exceeds the parity counting cap {MAX_COUNTING_PARITY_K}", required=k)
     return all(2 * (k - 1) * q ** (k - 2) < q ** (k - 1)
                for q in range(2 * k - 1, 4 * k + 1))
 
@@ -479,6 +488,15 @@ def residue_counting_check(d: int, n: int) -> bool:
     count of a maximal solvable set over q+1 colors."""
     if d < 2 or n < 1:
         raise ParameterError("need d >= 2 and n >= 1")
+    # the chain's largest power, (q+1)^((k-1)n), has at least `bits` bits;
+    # q = d^n is not formed once it has 64 bits, where n * 2^69 bounds it
+    bits = n << 69
+    if n * (d.bit_length() - 1) < 64:
+        bits = (d**n - d ** (n - 1)) * n * ((d**n).bit_length() - 1)
+    if bits > MAX_COUNTING_BITS:
+        raise InfeasibleError(
+            f"the residue chain at d={d}, n={n} forms a power of at least {bits} bits, "
+            f"past the {MAX_COUNTING_BITS}-bit cap", required=bits)
     q = d**n
     k = q - d ** (n - 1) + 1
     key = (d ** (n - 1) + 1) ** n > (q + 1) ** (n - 1)
@@ -500,7 +518,7 @@ def counting_inequality_check(mode: str, **params: int) -> bool:
 
 def write_certificate_file(path: str, cert: ProductCertificate) -> None:
     validate_certificate(cert)
-    payload = {
+    write_json(path, {
         "k": cert.k,
         "n": cert.n,
         "q": cert.q,
@@ -514,40 +532,27 @@ def write_certificate_file(path: str, cert: ProductCertificate) -> None:
             ]
             for product in cert.products
         ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    })
 
 
-def _file_mask(rows: list, m: int, q: int) -> np.ndarray:
-    """A solvable set's member list from a file, as a mask over [q]^m."""
+def _file_piece(piece: dict, m: int, q: int) -> BladePiece:
+    """One blade from a file: its member list becomes a mask over [q]^m."""
     mask = np.zeros((q,) * m, dtype=bool)
-    for x in rows:
-        if not isinstance(x, list) or len(x) != m:
-            raise ParameterError(f"set member {x!r} is not a list of {m} colors")
-        cell = tuple(file_int(c, "set coordinate") for c in x)
-        if any(not 0 <= c < q for c in cell):
-            raise ParameterError(f"set member {x!r} uses colors outside [{q}]")
-        mask[cell] = True
-    return mask
+    mask[tuple(file_rows(piece["set"], "set member", q, m).T)] = True
+    return BladePiece(SolvableSet(m, q, mask),
+                      Strategy.from_lists(q, file_rows(piece["strategy"], "guess table", q)))
 
 
 def read_certificate_file(path: str) -> ProductCertificate:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
+    def parse(payload: dict) -> ProductCertificate:
         k, n, q = (file_int(payload[key], key) for key in ("k", "n", "q"))
         if k < 2 or n < 1 or q < 1:
             raise ParameterError(f"certificate file {path}: need k >= 2, n >= 1, q >= 1")
         _cells_guard(q, k - 1)
-        products = tuple(
-            tuple(BladePiece(SolvableSet(k - 1, q, _file_mask(piece["set"], k - 1, q)),
-                             _file_strategy(piece["strategy"], q, f"certificate file {path}"))
-                  for piece in product)
-            for product in payload["products"])
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed certificate file {path}: {exc}") from exc
-    cert = ProductCertificate(k, n, q, products)
+        return ProductCertificate(k, n, q, tuple(
+            tuple(_file_piece(piece, k - 1, q) for piece in product)
+            for product in payload["products"]))
+
+    cert = read_json(path, "certificate file", parse)
     validate_certificate(cert)
     return cert

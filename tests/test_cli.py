@@ -55,6 +55,21 @@ def test_lemma_exit_codes(capsys):
     assert code == 0 and reports[0]["payload"]["holds"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mode", "residue", "-d", "2", "-n", "18"],
+    ["--mode", "residue", "-d", "3", "-n", "100000"],
+    ["--mode", "parity", "-k", "2000"],
+    ["--mode", "parity", "-k", "10000000"],
+], ids=["residue-2-18", "residue-3-100000", "parity-2000", "parity-1e7"])
+def test_counting_past_its_cap_is_refused_at_once(capsys, argv):
+    started = time.perf_counter()
+    code, reports = run(capsys, "lemma", "counting", *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert len(reports) == 1 and reports[0]["status"] == "infeasible"
+    assert reports[0]["payload"]["required"] > 0
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -320,6 +335,22 @@ def test_good_fuzz_seeds_are_accepted(capsys, tmp_path):
     assert run(capsys, "verify", "-g", "complete:2", "-q", "2", "-s", str(strategy),
                "--restriction", str(restriction))[0] == 0
     assert run(capsys, "cover", "--file", str(points))[0] == 0
+
+
+@pytest.mark.parametrize("role", ["strategy", "restriction", "points"])
+def test_undecodable_files_exit_two(capsys, tmp_path, undecodable_file, role):
+    strategy, restriction = tmp_path / "s.json", tmp_path / "r.json"
+    strategy.write_text(json.dumps(GOOD_STRATEGY))
+    restriction.write_text(json.dumps(GOOD_RESTRICTION))
+    verify = ["verify", "-g", "complete:2", "-q", "2", "-s"]
+    argv = {"strategy": [*verify, undecodable_file],
+            "restriction": [*verify, str(strategy), "--restriction", undecodable_file],
+            "points": ["cover", "--file", undecodable_file]}[role]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["status"] == "error"
 
 
 @pytest.mark.parametrize("entry", [-1, 300, 1.5, "1", True])

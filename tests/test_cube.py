@@ -325,6 +325,11 @@ def test_hex_to_mask_takes_only_ascii_hex_strings(text):
         hex_to_mask(text)
 
 
+def test_partition_file_rejects_undecodable_bytes(undecodable_file):
+    with pytest.raises(ParameterError):
+        read_partition_file(undecodable_file)
+
+
 def test_partition_file_round_trip(tmp_path):
     cols = [sum(1 << i for i in range(64) if i % 4 == r) for r in range(4)]
     p = PartitionTuple(tuple(cols))

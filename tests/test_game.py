@@ -376,6 +376,36 @@ def test_kernel_matches_scalar_scan_on_random_graphs(data):
         scalar_counts(g, q, s, sorted(subset))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_restricted_verify_sorts_members_keeping_duplicates(data):
+    g = random_graph(data, 4)
+    q = data.draw(st.integers(1, 3))
+    tables = random_tables(g, q, random.Random(data.draw(st.integers(0, 2**31))))
+    if data.draw(st.booleans()):
+        tables = [[0] * len(t) for t in tables]
+    s = Strategy.from_lists(q, tables)
+    space = list(itertools.product(range(q), repeat=g.n_vertices))
+    members = data.draw(st.lists(st.sampled_from(space), max_size=30))
+    in_order = sorted(members)
+    assert verify_strategy(g, q, s, restriction=members) == \
+        verify_strategy(g, q, s, restriction=in_order)
+    report = verify_strategy(g, q, s, restriction=members)
+    if members:  # duplicates count once per copy, as the scalar scan counts them
+        assert (report.counterexample, report.assignments_checked) == \
+            scalar_scan(g, q, s, members)
+    assert correct_guess_counts(g, q, s, restriction=members).tolist() == \
+        scalar_counts(g, q, s, in_order)
+
+
+def test_restriction_colors_past_int64_are_parameter_errors():
+    g = build_graph("complete", 2)
+    s = complete_sum_strategy(2, 2)
+    for bad in [(0, 2**64), (-(2**70), 0), (0, 2), (-1, 0)]:
+        with pytest.raises(ParameterError):
+            verify_strategy(g, 2, s, restriction=[(0, 0), bad])
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 10**6])
 def test_kernel_with_an_isolated_vertex(monkeypatch, chunk):
     monkeypatch.setattr(game_module, "DEFAULT_CHUNK", chunk)

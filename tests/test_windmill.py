@@ -386,7 +386,27 @@ def test_counting_inequalities_hold():
         residue_counting_check(2, 0)
 
 
+def test_counting_checks_refuse_past_their_caps(monkeypatch):
+    # (2, 5): q = 32, k - 1 = 16, so the chain's largest power 33^80 has at
+    # least 16 * 5 * 5 = 400 bits; (2, 6) needs 32 * 6 * 6 = 1152
+    monkeypatch.setattr(windmill_module, "MAX_COUNTING_BITS", 400)
+    assert residue_counting_check(2, 5)
+    with pytest.raises(InfeasibleError) as refused:
+        residue_counting_check(2, 6)
+    assert refused.value.required == 1152
+    monkeypatch.setattr(windmill_module, "MAX_COUNTING_PARITY_K", 5)
+    assert parity_counting_check(5)
+    with pytest.raises(InfeasibleError) as refused:
+        parity_counting_check(6)
+    assert refused.value.required == 6
+
+
 # --- files ------------------------------------------------------------------
+
+
+def test_certificate_file_rejects_undecodable_bytes(undecodable_file):
+    with pytest.raises(ParameterError):
+        read_certificate_file(undecodable_file)
 
 
 def test_certificate_file_round_trip(tmp_path):
