@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (HatLabError, InfeasibleError, ParameterError, file_int, file_rows, read_json,
-                     write_json)
+                     refuse_power, write_json)
 
 MAX_DIMENSION = 8
 MAX_POINTS = 10**5
@@ -188,10 +188,7 @@ def coverable_bruteforce(s: PointSet, *, budget: int = DEFAULT_BRUTEFORCE_BUDGET
     """
     if s.d < 1:
         raise ParameterError("need dimension >= 1")
-    if s.d ** len(s) > budget:
-        raise InfeasibleError(
-            f"{s.d ** len(s)} class assignments exceed budget {budget}",
-            required=s.d ** len(s))
+    refuse_power(s.d, len(s), budget, "class assignments exceed budget")
     pts = s.points
     used: list[set[Point]] = [set() for _ in range(s.d)]
 

@@ -3,6 +3,7 @@
 Two broad failure classes: the caller asked for something malformed
 (ParameterError), or the request is well-formed but too large for the
 configured budget (InfeasibleError).  CLI exit codes map onto these.
+refuse_power refuses a space of q^e items past a budget without forming it.
 Every file goes through read_json or write_json, and file_int and file_rows
 check the integers read, so whatever is wrong with a file is a ParameterError.
 """
@@ -68,12 +69,40 @@ def file_rows(rows: Any, what: str, high: int, width: int | None = None) -> np.n
     return rows if width is None else np.array(entries, dtype=np.int64).reshape(len(rows), width)
 
 
+MAX_REPORTED_DIGITS = 4000  # Python refuses to print ints past 4300 digits
+
+
 class InfeasibleError(HatLabError):
     """The request exceeds the configured enumeration budget."""
 
-    def __init__(self, message: str, required: int | None = None):
+    def __init__(self, message: str, required: int | str | None = None):
         super().__init__(message)
         self.required = required
+
+
+def power_past(q: int, e: int, cap: int) -> bool:
+    """Whether q**e > cap, without forming a power much past the cap."""
+    if q <= 1:
+        return q**e > cap
+    power = 1
+    for _ in range(e):
+        power *= q
+        if power > cap:
+            return True
+    return power > cap
+
+
+def refuse_power(q: int, e: int, cap: int, what: str) -> None:
+    """Raise InfeasibleError when the q**e items of `what` exceed `cap`.
+
+    The message names the count as q^e.  `required` is q**e while it has at
+    most MAX_REPORTED_DIGITS digits and the text "q^e" past that: Python
+    refuses to print longer ints, so no message or JSON report could hold it.
+    """
+    if power_past(q, e, cap):
+        too_long = power_past(q, e, 10**MAX_REPORTED_DIGITS)
+        raise InfeasibleError(f"{q}^{e} {what} {cap}",
+                              required=f"{q}^{e}" if too_long else q**e)
 
 
 class PartitionConditionError(HatLabError):

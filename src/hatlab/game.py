@@ -32,7 +32,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError, file_int, file_rows, read_json, write_json
+from .errors import (InfeasibleError, ParameterError, file_int, file_rows, power_past, read_json,
+                     refuse_power, write_json)
 from .sweep import run_chunks
 
 ColorAssignment = tuple[int, ...]
@@ -364,10 +365,8 @@ def verify_strategy(
         return VerificationReport(False, tuple(int(c) for c in mat[first]), first + 1)
 
     guesses = _guess_tensors(g, s)
+    refuse_power(q, n, budget, "assignments exceed budget")
     total = q**n
-    if total > budget:
-        raise InfeasibleError(
-            f"{total} assignments exceed budget {budget}", required=total)
     p = _leading_axes(q, n)
     _axes_guard(n - p, "a chunk")
     cells = q ** (n - p)
@@ -403,9 +402,7 @@ def correct_guess_counts(
         counts, hits = np.zeros(len(mat), dtype=np.int64), _member_hits(g, s, mat)
     else:
         guesses = _guess_tensors(g, s)
-        total = q**n
-        if total > budget:
-            raise InfeasibleError(f"{total} assignments exceed budget {budget}", required=total)
+        refuse_power(q, n, budget, "assignments exceed budget")
         _axes_guard(n, "the count tensor")
         counts, hits = np.zeros((q,) * n, dtype=np.int64), _chunk_hits(g, guesses, q, ())
     for hit in hits:
@@ -472,11 +469,11 @@ def max_solvable_set_search(
     """
     if n < 1 or q < 1:
         raise ParameterError("need n >= 1 and q >= 1")
+    if power_past(q, n - 1, budget):  # then q**(n * q**(n-1)) is past it too
+        space = f"{q}^({n}*{q}^{n - 1})"
+        raise InfeasibleError(f"{space} strategy tuples exceed budget {budget}", required=space)
     table_size = q ** (n - 1)
-    space = (q**table_size) ** n
-    if space > budget:
-        raise InfeasibleError(
-            f"{space} strategy tuples exceed budget {budget}", required=space)
+    refuse_power(q, n * table_size, budget, "strategy tuples exceed budget")
 
     rows = _lex_rows(q, n)
     # per assignment and player: (table index, own color)
@@ -508,59 +505,247 @@ class SearchOutcome:
     nodes_explored: int
 
 
-def search_strategy(g: Graph, q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
-    """Backtracking search for a winning strategy.
+def _relabelling_set(g: Graph) -> list[int]:
+    """The greedy lowest-index independent set of g."""
+    chosen: list[int] = []
+    for v, nbrs in enumerate(g.adjacency):
+        if not set(nbrs).intersection(chosen):
+            chosen.append(v)
+    return chosen
 
-    Assignments are scanned in lexicographic order; each uncovered assignment
-    branches on which vertex is designated to guess it correctly (open
-    vertices ascending), which pins one table cell.  The search is complete:
-    exhausting it proves no winning strategy exists.  `budget` bounds
-    explored branch nodes; running out is reported as neither found nor
-    proven (strategy=None, proven_unwinnable False).  Games of more than
+
+def search_strategy(g: Graph, q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
+    """Complete search for a winning strategy by clause propagation.
+
+    Assignment a is the clause "some vertex v has t_v[cell_v(a)] = a_v": one
+    literal per vertex, on the table cells of `_table_cells`.  Every cell
+    keeps a bitmask of the values still allowed; a literal is false once its
+    value leaves the mask and true once the mask holds that value alone.  A
+    node is one decision.  The search takes the unsatisfied clause with the
+    fewest open literals (the lowest assignment on ties) and, of those
+    literals, the one whose value covers the most unsatisfied clauses (the
+    lowest vertex on ties), cell = x; it tries cell = x, then cell != x.
+    Unit propagation follows every decision (a clause with one open literal
+    makes it true), and a trail undoes both.  The search is complete:
+    exhausting it proves that no winning strategy exists.  Two sound prunes
+    cut it short.
+
+    Capacity (Hall) bound.  A cell takes one value, so it satisfies at most
+    cap = max over its allowed x of the unsatisfied clauses holding the
+    literal (cell, x).  Every winning completion therefore maps each
+    unsatisfied clause to an open cell of its own, at most cap clauses to a
+    cell; a node where no such b-matching saturates the unsatisfied clauses
+    fails.  The matching lives across nodes: a step unmatches the clauses it
+    satisfies or whose matched literal it falsifies and sheds load past a
+    shrunk capacity, while undoing only raises capacities, so every node
+    augments from its unmatched clauses alone.  At the root the capacities
+    sum to n * q**(n-1), so the bound implies the counting bound
+    n * q**(n-1) >= q**n.
+
+    Colour relabelling.  Let I be an independent set and sigma_v a
+    permutation of [q] for each v in I.  Replace t_v by sigma_v o t_v for v
+    in I, and let every u outside I read each neighbour w in I through
+    sigma_w^-1.  Map a to a' with a'_v = sigma_v(a_v) on I and a'_u = a_u
+    elsewhere.  On a', v in I sees only vertices outside I, whose colours did
+    not move, so it guesses right exactly when t_v was right on a; u outside
+    I sees the context it saw on a and keeps its colour.  So the new strategy
+    wins a' exactly when the old one wins a, and a -> a' is a bijection of
+    [q]^n: winning is kept.  The neighbours of v in I lie outside I, so the
+    relabelling keeps v's all-zero context in place, and sigma_v swapping
+    t_v(0, ..., 0) with 0 makes that guess 0.  Fixing t_v(0, ..., 0) = 0 on
+    the greedy lowest-index independent set therefore keeps some winning
+    strategy whenever one exists.
+
+    `budget` bounds the decisions; running out is reported as neither found
+    nor proven (strategy=None, proven_unwinnable False).  Games of more than
     MAX_SEARCH_ASSIGNMENTS assignments raise InfeasibleError before anything
-    is allocated.
+    is allocated.  A strategy found is checked by `verify_strategy`.
     """
     n = g.n_vertices
     if q < 1:
         raise ParameterError("q must be >= 1")
-    total = q**n
-    if total > MAX_SEARCH_ASSIGNMENTS:
-        raise InfeasibleError(
-            f"{total} assignments exceed the search cap {MAX_SEARCH_ASSIGNMENTS}", required=total)
+    refuse_power(q, n, MAX_SEARCH_ASSIGNMENTS, "assignments exceed the search cap")
     rows = _lex_rows(q, n)
-    cells, rows = _table_cells(g, q, rows).tolist(), rows.tolist()
-    partial: list[list[int]] = [[-1] * (q ** g.degree(v)) for v in range(n)]
-    nodes = 0
-    stack: list[list] = []  # [assignment, open vertices, branches tried]
-    a = 0
-    while a < total:
-        for t, c, x in zip(partial, cells[a], rows[a]):
-            if t[c] == x:  # a pinned cell already covers assignment a
-                a += 1
-                break
-        else:
-            stack.append([a, [v for v, (t, c) in enumerate(zip(partial, cells[a])) if t[c] == -1], 0])
-            while stack:  # pin the top frame's next branch, popping exhausted frames
-                frame = stack[-1]
-                b, open_vertices, tried = frame
-                if tried:
-                    v = open_vertices[tried - 1]
-                    partial[v][cells[b][v]] = -1
-                if tried == len(open_vertices):
-                    stack.pop()
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    return SearchOutcome(None, False, nodes)
-                v = open_vertices[tried]
-                partial[v][cells[b][v]] = rows[b][v]
-                frame[2] = tried + 1
-                a = b + 1
-                break
-            else:
-                return SearchOutcome(None, True, nodes)
+    offsets = [0, *itertools.accumulate(q ** g.degree(v) for v in range(n))]
+    n_cells, total = offsets[-1], len(rows)
+    cell_arr = _table_cells(g, q, rows) + np.array(offsets[:-1], dtype=np.int64)
+    lit_arr = cell_arr * q + rows  # literal (cell, value) as cell * q + value
+    cells, colors, lits = cell_arr.tolist(), rows.tolist(), lit_arr.tolist()
+    order = (np.argsort(lit_arr, axis=None, kind="stable") // max(n, 1)).tolist()
+    ends = np.cumsum(np.bincount(lit_arr.ravel(), minlength=n_cells * q)).tolist()
+    occ = [order[lo:hi] for lo, hi in zip([0, *ends], ends)]  # clauses holding a literal
 
-    tables = [[x if x >= 0 else 0 for x in t] for t in partial]
+    dom = [(1 << q) - 1] * n_cells
+    big = n + 1
+    score = [n] * total  # open literals of a clause, plus `big` per true literal
+    unsat = [len(c) for c in occ]  # unsatisfied clauses holding each literal
+    mate, load = [-1] * total, [0] * n_cells
+    held: list[set[int]] = [set() for _ in range(n_cells)]  # clauses matched to a cell
+    free = set(range(total))  # unsatisfied clauses without a match
+    trail: list[int] = []  # lit for a value removed, ~lit for a literal made true
+    units: list[int] = []
+    dirty: list[int] = []  # cells whose capacity may have shrunk
+
+    def unmatch(a: int) -> None:
+        k = mate[a]
+        mate[a] = -1
+        load[k] -= 1
+        held[k].discard(a)
+        free.add(a)
+
+    def satisfy(lit: int) -> None:
+        trail.append(~lit)
+        for a in occ[lit]:
+            if score[a] < big:  # newly satisfied
+                for l in lits[a]:
+                    unsat[l] -= 1
+                dirty.extend(cells[a])
+                if mate[a] >= 0:
+                    unmatch(a)
+                free.discard(a)
+            score[a] += big
+
+    def remove(lit: int) -> bool:
+        """Disallow one value of a cell; False once a clause has no literal left."""
+        k = lit // q
+        m = dom[k] = dom[k] & ~(1 << lit - k * q)
+        trail.append(lit)
+        ok = True
+        for a in occ[lit]:
+            s = score[a] = score[a] - 1
+            if s < 2:
+                if s:
+                    units.append(a)
+                else:
+                    ok = False
+            if mate[a] == k:
+                unmatch(a)
+        dirty.append(k)
+        if not m & (m - 1):
+            satisfy(k * q + m.bit_length() - 1)
+        return ok
+
+    def assign(lit: int) -> bool:
+        k = lit // q
+        m = dom[k] & ~(1 << lit - k * q)
+        while m:
+            low = m & -m
+            if not remove(k * q + low.bit_length() - 1):
+                return False
+            m ^= low
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            lit = trail.pop()
+            if lit >= 0:
+                k = lit // q
+                dom[k] |= 1 << lit - k * q
+                for a in occ[lit]:
+                    score[a] += 1
+                continue
+            for a in occ[~lit]:
+                score[a] -= big
+                if score[a] < big:
+                    for l in lits[a]:
+                        unsat[l] += 1
+                    free.add(a)
+
+    def open_literals(a: int) -> Iterator[int]:
+        return (l for l, k, x in zip(lits[a], cells[a], colors[a]) if dom[k] >> x & 1)
+
+    def propagate() -> bool:
+        while units:
+            a = units.pop()
+            if score[a] == 1 and not assign(next(open_literals(a))):
+                return False
+        return True
+
+    def capacity(k: int) -> int:
+        m, best = dom[k], 0
+        while m:
+            low = m & -m
+            best = max(best, unsat[k * q + low.bit_length() - 1])
+            m ^= low
+        return best
+
+    def augment(root: int, caps: dict[int, int]) -> bool:
+        """Breadth-first search for an augmenting path from an unmatched
+        clause; `caps` memoizes capacities, which hold still meanwhile."""
+        via: dict[int, int] = {}  # cell -> the clause that reached it
+        queue = [root]
+        for b in queue:
+            full = []
+            for k, x in zip(cells[b], colors[b]):
+                if k in via or k == mate[b] or not dom[k] >> x & 1:
+                    continue
+                via[k] = b
+                if k not in caps:
+                    caps[k] = capacity(k)
+                if load[k] < caps[k]:
+                    load[k] += 1
+                    while b >= 0:  # move each clause on the path to the next cell
+                        old, mate[b] = mate[b], k
+                        held[k].add(b)
+                        if old >= 0:
+                            held[old].discard(b)
+                        k, b = old, via.get(old, -1)
+                    return True
+                full.append(k)
+            for k in full:
+                queue.extend(held[k])
+        return False
+
+    def saturate() -> bool:
+        """Repair the matching; False when no b-matching saturates the clauses."""
+        caps: dict[int, int] = {}
+        for k in dirty:
+            if load[k] and k not in caps:
+                caps[k] = capacity(k)
+                for _ in range(load[k] - caps[k]):
+                    unmatch(next(iter(held[k])))
+        dirty.clear()
+        for a in sorted(free):
+            if not augment(a, caps):
+                return False
+            free.discard(a)
+        return True
+
+    units.extend(a for a in range(total) if score[a] == 1)
+    if q == 1:  # every cell holds its one value
+        for k in range(n_cells):
+            satisfy(k)
+    # t_v(0, ..., 0) = 0 on the relabelling set; the clause of a graph
+    # without vertices has no literal and fails the first matching
+    ok = all(assign(offsets[v] * q) for v in _relabelling_set(g))
+    nodes = 0
+    stack: list[tuple[int, int]] = []  # (trail mark, lit) per decision; ~lit on its second branch
+    while True:
+        ok = ok and propagate() and saturate()
+        if ok:
+            best = min(score)
+            if best >= big:
+                break
+            lit = max(open_literals(score.index(best)), key=unsat.__getitem__)
+            stack.append((len(trail), lit))
+        else:
+            units.clear()
+            dirty.clear()
+            while stack and stack[-1][1] < 0:
+                stack.pop()
+            if not stack:
+                return SearchOutcome(None, True, nodes)
+            mark, lit = stack.pop()
+            undo(mark)
+            lit = ~lit
+            stack.append((mark, lit))
+        nodes += 1
+        if nodes > budget:
+            return SearchOutcome(None, False, nodes)
+        ok = assign(lit) if lit >= 0 else remove(~lit)
+
+    tables = [[(m & -m).bit_length() - 1 for m in dom[lo:hi]]
+              for lo, hi in zip(offsets, offsets[1:])]
     strat = Strategy.from_lists(q, tables)
     report = verify_strategy(g, q, strat, budget=max(total, DEFAULT_ASSIGNMENT_BUDGET))
     if not report.wins:  # pragma: no cover - guards the search itself

@@ -161,8 +161,13 @@ def test_search_exit_codes(capsys, tmp_path):
     assert code == 3 and reports[0]["status"] == "infeasible"
 
 
-@pytest.mark.parametrize("spec, q", [("complete:12", 12), ("complete:9", 9)])
-def test_oversized_searches_are_refused_before_allocating(capsys, spec, q):
+@pytest.mark.parametrize("spec, q, required", [
+    ("complete:12", 12, 12**12),
+    ("complete:9", 9, 9**9),
+    # q^n has about 5400 digits, past what Python prints: the report names it
+    ("complete:447", 10**12, f"{10**12}^447"),
+], ids=["complete:12-12", "complete:9-9", "complete:447-1e12"])
+def test_oversized_searches_are_refused_before_allocating(capsys, spec, q, required):
     started = time.perf_counter()
     code = main(["search", "-g", spec, "-q", str(q), "--budget", "10"])
     assert time.perf_counter() - started < 1.0
@@ -170,7 +175,7 @@ def test_oversized_searches_are_refused_before_allocating(capsys, spec, q):
     assert code == 3 and err == ""
     (line,) = out.splitlines()
     report = json.loads(line)
-    assert report["status"] == "infeasible" and report["payload"]["required"] == q**q
+    assert report["status"] == "infeasible" and report["payload"]["required"] == required
 
 
 def test_budget_env_fallback(capsys, monkeypatch):

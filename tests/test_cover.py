@@ -164,6 +164,17 @@ def test_noncoverable_construction_sizes():
         noncoverable_construction(6)
 
 
+def test_bruteforce_refusal_names_huge_spaces():
+    with pytest.raises(InfeasibleError) as exc:
+        coverable_bruteforce(PointSet.of(2, [(0, 0), (1, 1), (2, 2)]), budget=4)
+    assert exc.value.required == 8
+    # 3^9100 has 4342 digits, past what Python prints
+    with pytest.raises(InfeasibleError) as exc:
+        coverable_bruteforce(PointSet.of(3, [(i, 0, 0) for i in range(9100)]))
+    assert exc.value.required == "3^9100"
+    assert str(exc.value).startswith("3^9100 class assignments exceed budget")
+
+
 def test_noncoverable_construction_fails_matching():
     for d in (1, 2, 3):
         s = noncoverable_construction(d)

@@ -7,6 +7,7 @@ them misreads the conventions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -23,6 +24,7 @@ from hatlab import (
     InfeasibleError,
     ParameterError,
     ResidueSet,
+    SearchOutcome,
     SolvableSet,
     Strategy,
     build_graph,
@@ -544,6 +546,53 @@ def test_sum_target_strategy_splits_targets():
 # --- search -----------------------------------------------------------------
 
 
+def chronological_search(g, q, budget):
+    """Reference oracle: the chronological backtracking search that the
+    clause-propagating `search_strategy` replaced.
+
+    Assignments are scanned in lexicographic order; each uncovered assignment
+    branches on which vertex is designated to guess it correctly (open
+    vertices ascending), which pins one table cell.  A node is one pin.
+    """
+    n = g.n_vertices
+    rows = list(itertools.product(range(q), repeat=n))
+    cells = [[sum(a[u] * q**j for j, u in enumerate(g.adjacency[v])) for v in range(n)]
+             for a in rows]
+    partial = [[-1] * (q ** g.degree(v)) for v in range(n)]
+    nodes = 0
+    stack = []  # [assignment, open vertices, branches tried]
+    a = 0
+    while a < len(rows):
+        for t, c, x in zip(partial, cells[a], rows[a]):
+            if t[c] == x:  # a pinned cell already covers assignment a
+                a += 1
+                break
+        else:
+            stack.append([a, [v for v, (t, c) in enumerate(zip(partial, cells[a])) if t[c] == -1], 0])
+            while stack:  # pin the top frame's next branch, popping exhausted frames
+                frame = stack[-1]
+                b, open_vertices, tried = frame
+                if tried:
+                    v = open_vertices[tried - 1]
+                    partial[v][cells[b][v]] = -1
+                if tried == len(open_vertices):
+                    stack.pop()
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    return SearchOutcome(None, False, nodes)
+                v = open_vertices[tried]
+                partial[v][cells[b][v]] = rows[b][v]
+                frame[2] = tried + 1
+                a = b + 1
+                break
+            else:
+                return SearchOutcome(None, True, nodes)
+    strat = Strategy.from_lists(q, [[max(x, 0) for x in t] for t in partial])
+    assert verify_strategy(g, q, strat).wins
+    return SearchOutcome(strat, False, nodes)
+
+
 def test_search_finds_and_refutes():
     g = build_graph("complete", 2)
     found = search_strategy(g, 2)
@@ -557,19 +606,40 @@ def test_search_finds_and_refutes():
     assert tripped.strategy is None and not tripped.proven_unwinnable
 
 
+# Every tree on 2 to 5 vertices, one labelling each.
+TREES = [
+    (2, [(0, 1)]),
+    (3, [(0, 1), (1, 2)]),
+    (4, [(0, 1), (1, 2), (2, 3)]),
+    (4, [(0, 1), (0, 2), (0, 3)]),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    (5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
+]
+
+
 def test_search_agrees_with_known_numbers():
-    # complete graphs are solvable at q=n but not q=n+1 (the n=3
-    # refutation tree runs to ~4e7 nodes, so only refute up to n=2 here)
-    for n in (1, 2, 3):
-        assert search_strategy(build_graph("complete", n), n).strategy is not None
-    for n in (1, 2):
-        outcome = search_strategy(build_graph("complete", n), n + 1, budget=10**6)
-        assert outcome.proven_unwinnable
+    # HG(K_n) = n: found at q = n, proven unwinnable at q = n + 1
+    for n in (1, 2, 3, 4):
+        g = build_graph("complete", n)
+        assert search_strategy(g, n).strategy is not None
+        assert search_strategy(g, n + 1).proven_unwinnable
+    # trees have HG 2 (Butler et al. 2008)
+    for n, edges in TREES:
+        assert search_strategy(custom_graph(n, edges), 2).strategy is not None
+        assert search_strategy(custom_graph(n, edges), 3).proven_unwinnable
+    # C_4 wins at q=3 but not at q=4 (Szczechla 2017); so do the paw and the
+    # diamond, which hold a triangle
+    for label in ("C4", "paw", "diamond"):
+        g = custom_graph(*PIN_GRAPHS[label])
+        assert search_strategy(g, 3).strategy is not None
+        assert search_strategy(g, 4).proven_unwinnable
 
 
-# Pinned search outcomes: (graph, q, budget, nodes_explored, proven_unwinnable,
-# sha256 of the found tables' JSON or None).  Any change to the assignment
-# order, the branch order or the node count moves one of them.
+# Pinned outcomes: (graph, q, budget, nodes_explored, proven_unwinnable,
+# sha256 of the found tables' JSON or None).  SEARCH_PINS hold the reference
+# oracle; any change to its assignment order, branch order or node count
+# moves one of them.
 PIN_GRAPHS = {
     "K2": (2, [(0, 1)]),
     "P3": (3, [(0, 1), (1, 2)]),
@@ -600,15 +670,98 @@ SEARCH_PINS = [
      "3a7a6257af5263d6e343e85eca90c4ad49b3d1dad76dd6fc7de7af7fc6d1e35b"),
     ("C4", 3, 5000, 5001, False, None),  # budget exhausted
 ]
+# `search_strategy` on the same 14 cases, then the rest of the benchmark's
+# nine searches (K2 q=2, K2 q=3, K3 q=3 and P3 q=3 are among the 14).
+CLAUSE_SEARCH_PINS = [
+    ("K2", 2, 200000, 0, False, "c1b92cfd1182059c03f2934cec0ee71e1df9f08ff9f53dec0f3e468e62a0626c"),
+    ("P3", 2, 200000, 3, False, "c32547f5e9435c122952b6651eb68047909a4c56e15080f9e85a57077cbd78f7"),
+    ("K3", 2, 200000, 7, False, "c1e9663d5aac63b3a3bda6db936c00d30e6d622fa9e0340e8bd4ff5cb8613fb4"),
+    ("P4", 2, 200000, 6, False, "1b064c806646d7268c1623f0941f6cc51bd98dad4a0611b6d259bec500ec54b2"),
+    ("K13", 2, 200000, 7, False, "dbbea96b54d8fa206f0b45d90326a66b59b5390deaa3404a3056c3a6775ad950"),
+    ("C4", 2, 200000, 7, False, "bc0d0d73718348de91e333ef8d9a453958dcc0568544c76b488507eda6597b85"),
+    ("paw", 2, 200000, 8, False, "9b4151b7860f6871133fee12de9713e9b989bf1dd74528a015def9d3f9a61458"),
+    ("diamond", 2, 200000, 10, False,
+     "2c547eb65948231cd0d2357d808d702a6bd55d5b6dbcd08c4dad74aa85ba965a"),
+    ("K4", 2, 200000, 15, False, "3be9fc177b048166fbb2059e2f8a9c498c4f882672f824e417f4de98ad3e0468"),
+    ("K2", 3, 200000, 0, True, None),
+    ("P3", 3, 200000, 0, True, None),
+    ("K3", 3, 200000, 24, False, "cbb3a538b122283561e24271fc32b9e29a214ae2463e86e2c21072961d89e7fc"),
+    ("diamond", 3, 200000, 36, False,
+     "8df424d0b10f938d105420eb0916391373740e462bac5e86b62e9ca0b471c515"),
+    ("C4", 3, 5000, 5001, False, None),  # budget exhausted
+    ("K3", 4, 200000, 0, True, None),
+    ("K13", 3, 200000, 150, True, None),
+    ("C4", 3, 200000, 5873, False, "bbd0b3eb4f0b01805e59c6c1a5a39484c9d1a041bc6ff9f6240f365f9ea43274"),
+    ("C4", 4, 200000, 0, True, None),
+    ("K4", 4, 200000, 304, False, "cdf5bc9b38c06da7342a99bdbe4bf5cd05bbb949259c5a44cd1923b26fe2a1f4"),
+]
+
+
+def pinned_outcome(search, label, q, budget):
+    outcome = search(custom_graph(*PIN_GRAPHS[label]), q, budget=budget)
+    tables = None if outcome.strategy is None else outcome.strategy.table_lists()
+    got = None if tables is None else hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+    return outcome.nodes_explored, outcome.proven_unwinnable, got
 
 
 @pytest.mark.parametrize("label, q, budget, nodes, proven, digest", SEARCH_PINS,
                          ids=[f"{p[0]}-q{p[1]}-b{p[2]}" for p in SEARCH_PINS])
 def test_search_outcomes_are_pinned(label, q, budget, nodes, proven, digest):
-    outcome = search_strategy(custom_graph(*PIN_GRAPHS[label]), q, budget=budget)
-    tables = None if outcome.strategy is None else outcome.strategy.table_lists()
-    got = None if tables is None else hashlib.sha256(json.dumps(tables).encode()).hexdigest()
-    assert (outcome.nodes_explored, outcome.proven_unwinnable, got) == (nodes, proven, digest)
+    got = pinned_outcome(chronological_search, label, q, budget)
+    assert got == (nodes, proven, digest)
+
+
+@pytest.mark.parametrize("label, q, budget, nodes, proven, digest", CLAUSE_SEARCH_PINS,
+                         ids=[f"{p[0]}-q{p[1]}-b{p[2]}" for p in CLAUSE_SEARCH_PINS])
+def test_clause_search_outcomes_are_pinned(label, q, budget, nodes, proven, digest):
+    assert pinned_outcome(search_strategy, label, q, budget) == (nodes, proven, digest)
+
+
+@pytest.mark.parametrize("q", (2, 3), ids=lambda q: f"q{q}")
+@pytest.mark.parametrize("n", range(5), ids=lambda n: f"n{n}")
+def test_search_verdicts_match_the_oracle(n, q):
+    """Every labelled graph on n vertices: the clause search decides it and
+    agrees with the oracle wherever the oracle decides within 200k nodes."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        g = custom_graph(n, list(itertools.compress(pairs, chosen)))
+        outcome = search_strategy(g, q, budget=200_000)
+        assert outcome.strategy is not None or outcome.proven_unwinnable
+        reference = chronological_search(g, q, 200_000)
+        if reference.strategy is not None or reference.proven_unwinnable:
+            assert outcome.proven_unwinnable == reference.proven_unwinnable, g.edges
+
+
+@functools.cache
+def found_strategy(label, q):
+    return search_strategy(custom_graph(*PIN_GRAPHS[label]), q).strategy
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelling_colours_on_an_independent_set_keeps_a_win(data):
+    """The lemma behind the search's symmetry breaking: permute the colours
+    of every vertex v in an independent set I (v guesses sigma_v of its old
+    guess, its neighbours read v's colour through sigma_v^-1) and a winning
+    strategy still wins."""
+    label, q = data.draw(st.sampled_from([("K3", 3), ("C4", 3), ("paw", 3),
+                                          ("diamond", 3), ("K4", 2), ("P4", 2)]))
+    g, s = custom_graph(*PIN_GRAPHS[label]), found_strategy(label, q)
+    independent = []
+    for v in data.draw(st.lists(st.integers(0, g.n_vertices - 1), unique=True)):
+        if not set(g.adjacency[v]) & set(independent):
+            independent.append(v)
+    sigma = {v: np.array(data.draw(st.permutations(range(q)))) for v in independent}
+    tables = []
+    for v, nbrs in enumerate(g.adjacency):
+        context = np.arange(q ** len(nbrs))
+        old = np.zeros_like(context)
+        for j, u in enumerate(nbrs):
+            digit = context // q**j % q
+            old += (np.argsort(sigma[u])[digit] if u in sigma else digit) * q**j
+        guess = s.tables[v][old]
+        tables.append(sigma[v][guess] if v in sigma else guess)
+    assert verify_strategy(g, q, Strategy.from_lists(q, tables)).wins
 
 
 def test_search_leaves_the_recursion_limit_alone():
@@ -622,12 +775,35 @@ def test_search_leaves_the_recursion_limit_alone():
 
 
 def test_search_refuses_games_past_the_assignment_cap():
-    # the cap admits every search in the tests and the benchmark (at most 4^4)
+    # the cap admits every search in the tests and the benchmark (at most 5^4)
     assert game_module.MAX_SEARCH_ASSIGNMENTS == 2**16
-    assert search_strategy(custom_graph(16, []), 2, budget=10).nodes_explored == 11
+    # fixing every vertex's guess to 0 leaves the all-ones assignment lost
+    assert search_strategy(custom_graph(16, []), 2, budget=10) == SearchOutcome(None, True, 0)
     with pytest.raises(InfeasibleError) as exc:
         search_strategy(custom_graph(17, []), 2, budget=10)
     assert exc.value.required == 2**17
+    assert str(exc.value) == "2^17 assignments exceed the search cap 65536"
+
+
+def test_refusals_name_huge_spaces_as_powers():
+    """Past Python's 4300-digit limit the space is reported as the text q^n,
+    which the message and a JSON report can both hold."""
+    q, n = 10**12, 447
+    edgeless = custom_graph(n, [])
+    zeros = Strategy.from_lists(q, [[0]] * n)
+    refusals = [
+        lambda: search_strategy(build_graph("complete", n), q),
+        lambda: verify_strategy(edgeless, q, zeros),
+        lambda: correct_guess_counts(edgeless, q, zeros),
+    ]
+    for refuse in refusals:
+        with pytest.raises(InfeasibleError) as exc:
+            refuse()
+        assert exc.value.required == f"{q}^{n}"
+        assert str(exc.value).startswith(f"{q}^{n} assignments exceed")
+    with pytest.raises(InfeasibleError) as exc:
+        max_solvable_set_search(n, q)
+    assert exc.value.required == f"{q}^({n}*{q}^{n - 1})"
 
 
 # --- lifting ----------------------------------------------------------------
