@@ -311,12 +311,13 @@ def strategy_from_bipartite_partitions(
     # index of the union of parts (c_0..c_{m-1}) is sum(c_j * q**j)
     unions = _fold(np.ix_(*parts[::-1]))[0].ravel()
     step = max(1, (1 << 13) // cells)  # each containment table holds <= 2^13 pairs
-    centres = np.concatenate([_cube_centres(unions[s:s + step], cubes)
-                              for s in range(0, cells, step)])
-    if (centres < 0).any():
-        code = int(np.argmax(centres < 0))
-        combo = tuple(code // q**j % q for j in range(m))
-        raise PartitionConditionError(f"parts {combo} union to no product cube", combo)
+    chunks = []
+    for s in range(0, cells, step):  # the first union with no cube stops the scan
+        chunks.append(_cube_centres(unions[s:s + step], cubes))
+        if (chunks[-1] < 0).any():
+            combo = tuple((s + int(np.argmax(chunks[-1] < 0))) // q**j % q for j in range(m))
+            raise PartitionConditionError(f"parts {combo} union to no product cube", combo)
+    centres = np.concatenate(chunks)
 
     dt = np.min_scalar_type(q - 1)
     cell_ids = np.arange(cells).astype(mask_dt)

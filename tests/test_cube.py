@@ -250,6 +250,31 @@ def test_bipartite_strategy_matches_reference(m, q, data):
             == bipartite_strategy_reference(m, q, partitions))
 
 
+@pytest.mark.parametrize("m,q,valid", [(2, 32, False), (10, 2, True)])
+def test_bipartite_strategy_stops_at_the_first_union_without_a_cube(monkeypatch, m, q, valid):
+    # past 64 cells the containment runs in chunks; against one full evaluation
+    rng = random.Random(5)
+    partitions = [parts_from_colors([rng.randrange(q) for _ in range(q**m)], q)
+                  for _ in range(m)]
+    parts = np.array(partitions, dtype=object)
+    unions = cube._fold(np.ix_(*parts[::-1]))[0].ravel()
+    full = cube._cube_centres(unions, np.array(grid_cube_masks(q, m), dtype=object))
+    assert bool((full >= 0).all()) == valid
+    calls, centres = [], cube._cube_centres
+    monkeypatch.setattr(cube, "_cube_centres", lambda u, c: calls.append(len(u)) or centres(u, c))
+    if valid:
+        tables = strategy_from_bipartite_partitions(m, q, partitions).tables
+        assert [t.tolist() for t in tables[:m]] == [(full // q**t % q).tolist() for t in range(m)]
+        assert sum(calls) == q**m
+    else:
+        with pytest.raises(PartitionConditionError) as exc:
+            strategy_from_bipartite_partitions(m, q, partitions)
+        code = int(np.argmax(full < 0))
+        assert exc.value.combo == tuple(code // q**j % q for j in range(m))
+        # the scan ends with the chunk that holds the failing union
+        assert sum(calls) == (code // calls[0] + 1) * calls[0] < q**m
+
+
 permutations3 = st.lists(st.permutations(range(3)), min_size=2, max_size=2)
 
 

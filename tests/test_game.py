@@ -27,12 +27,14 @@ from hatlab import (
     SearchOutcome,
     SolvableSet,
     Strategy,
+    assemble_windmill_strategy,
     build_graph,
     complete_sum_strategy,
     correct_guess_counts,
     custom_graph,
     max_solvable_set_search,
     minimum_vertex_cover_size,
+    product_certificate_parity,
     read_assignment_set,
     read_strategy_file,
     search_strategy,
@@ -376,6 +378,57 @@ def test_kernel_matches_scalar_scan_on_random_graphs(data):
     assert (report.counterexample, report.assignments_checked) == (want_cex, want_checked)
     assert correct_guess_counts(g, q, s, restriction=subset).tolist() == \
         scalar_counts(g, q, s, sorted(subset))
+
+
+def direct_c_order(t, q, k):
+    # the direct copy's bytes; .copy keeps the 0-d shape that ascontiguousarray widens to (1,)
+    return t.reshape((q,) * k).T.copy(order="C")
+
+
+def star(k):
+    return custom_graph(k + 1, [(0, leaf) for leaf in range(1, k + 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_blocked_guess_tensors_match_the_direct_copy(data):
+    q = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(0, 9).filter(lambda k: q**k <= 1 << 20))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = star(k)  # vertex 0 sees all k leaves
+    s = Strategy.from_lists(q, [rng.integers(0, q, q**k)] + [rng.integers(0, q, q)] * k)
+    with pytest.MonkeyPatch.context() as mp:
+        # small blocks split even small tables into several partial blocks
+        mp.setattr(game_module, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 7, 64, 1 << 13])))
+        mp.setattr(game_module, "_BLOCK_COLS", data.draw(st.sampled_from([1, 3, 64])))
+        axle = game_module._guess_tensors(g, s)[0]
+    want = direct_c_order(s.tables[0], q, k)
+    assert axle.flags.c_contiguous and axle.shape == want.shape and axle.dtype == want.dtype
+    assert axle.tobytes() == want.tobytes()
+    for _ in range(20):
+        a = tuple(int(c) for c in rng.integers(0, q, k + 1))
+        assert axle[a[1:]] == strategy_guesses(g, q, s, a)[0]
+
+
+def test_blocked_guess_tensor_of_the_w43_axle():
+    g = build_graph("windmill", 4, 3)
+    s = assemble_windmill_strategy(product_certificate_parity(4, 3))
+    axle = s.tables[0]
+    assert g.degree(0) == 9
+    assert game_module._guess_tensors(g, s)[0].tobytes() == direct_c_order(axle, 6, 9).tobytes()
+
+
+@pytest.mark.parametrize("counts", [False, True])
+def test_budget_refusal_comes_before_the_guess_tensors(monkeypatch, counts):
+    def no_tensors(g, s):
+        raise AssertionError("guess tensors built for a refused sweep")
+
+    monkeypatch.setattr(game_module, "_guess_tensors", no_tensors)
+    g, q = build_graph("complete", 5), 5
+    check = correct_guess_counts if counts else verify_strategy
+    with pytest.raises(InfeasibleError) as exc:
+        check(g, q, complete_sum_strategy(5, q), budget=100)
+    assert exc.value.required == q**5
 
 
 @settings(max_examples=80, deadline=None)
