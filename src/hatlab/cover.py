@@ -275,8 +275,8 @@ def coverability_sweep(
     enumerates every t-subset of [t]^d (feasible for d <= 2); random mode
     samples `trials` seeded sets.
     """
-    if d < 1:
-        raise ParameterError("need d >= 1")
+    if not 1 <= d <= MAX_DIMENSION:
+        raise ParameterError(f"dimension {d} outside 1..{MAX_DIMENSION}")
     if trials < 0:
         raise ParameterError(f"trials must be >= 0, got {trials}")
     t = sum(i**i for i in range(1, d + 1))
@@ -293,6 +293,8 @@ def coverability_sweep(
         failures = tuple(PointSet.of(d, points[i].tolist()) for i in np.flatnonzero(~ok))
         return CoverSweepReport(d, mode, t, len(combos), failures)
     if mode == "random":
+        if t > MAX_POINTS:  # refused before drawing, as PointSet.of would refuse the sets
+            raise InfeasibleError(f"{t} points exceed the {MAX_POINTS} cap")
         rng = random.Random(seed)
         failures: list[PointSet] = []
         for _ in range(trials):

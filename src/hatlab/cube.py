@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, ParameterError, PartitionConditionError, read_json, write_json
-from .game import Strategy
+from .game import Strategy, _guess_dtype
 
 FULL_MASK = (1 << 64) - 1
 
@@ -319,7 +319,7 @@ def strategy_from_bipartite_partitions(
             raise PartitionConditionError(f"parts {combo} union to no product cube", combo)
     centres = np.concatenate(chunks)
 
-    dt = np.min_scalar_type(q - 1)
+    dt = _guess_dtype(q)
     cell_ids = np.arange(cells).astype(mask_dt)
     # left vertices guess the center's t-th coordinate, right ones their part
     left = [(centres // q**t % q).astype(dt) for t in range(m)]

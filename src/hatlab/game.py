@@ -167,8 +167,7 @@ class Strategy:
 
     @classmethod
     def from_lists(cls, q: int, tables: Sequence[Sequence[int]]) -> "Strategy":
-        dt = np.min_scalar_type(max(q - 1, 1))
-        return cls(q, tuple(np.asarray(t, dtype=dt) for t in tables))
+        return cls(q, tuple(np.asarray(t, dtype=_guess_dtype(q)) for t in tables))
 
     def table_lists(self) -> list[list[int]]:
         return [t.astype(int).tolist() for t in self.tables]
@@ -213,11 +212,21 @@ class SolvableSet:
         return (self.n, self.q) == (other.n, other.q) and np.array_equal(self.mask, other.mask)
 
 
-def _digit_sums(values: np.ndarray, m: int) -> np.ndarray:
-    """sum_j values[c_j] for every (c_0, ..., c_{m-1}) in [q]^m, flat in C order."""
-    total = np.zeros(1, dtype=np.int64)
+def _guess_dtype(q: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every colour of [q]."""
+    return np.min_scalar_type(max(q - 1, 1))
+
+
+def _digit_sums(values: np.ndarray, m: int, modulus: int) -> np.ndarray:
+    """sum_j values[c_j] mod `modulus` for every (c_0, ..., c_{m-1}) in [q]^m,
+    flat in C order, in the smallest unsigned dtype that holds 2 * modulus:
+    each step adds two residues and reduces, so no sum outgrows it."""
+    dt = np.min_scalar_type(2 * modulus)
+    step = (values % modulus).astype(dt)
+    total = np.zeros(1, dtype=dt)
     for _ in range(m):
-        total = np.add.outer(total, values).ravel()
+        total = np.add.outer(total, step).ravel()
+        total %= modulus
     return total
 
 
@@ -291,7 +300,7 @@ def _chunk_hits(g: Graph, guesses: list[np.ndarray], q: int,
     leading coordinates are `prefix`: a tensor over the n - len(prefix) free
     axes, size q on v's free neighbors (and on v itself) and 1 elsewhere."""
     p, n = len(prefix), g.n_vertices
-    colors = np.arange(q, dtype=np.min_scalar_type(max(q - 1, 1)))
+    colors = np.arange(q, dtype=_guess_dtype(q))
     for v, t in enumerate(guesses):
         nbrs = g.adjacency[v]
         t = t[tuple(prefix[u] for u in nbrs if u < p)]
@@ -465,9 +474,10 @@ def sum_target_strategy(m: int, q: int, targets: Sequence[int]) -> Strategy:
         raise ParameterError(f"need {m} targets, got {len(targets)}")
     if any(not (0 <= t < q) for t in targets):
         raise ParameterError("targets must be residues in [q]")
-    digit_sum = _digit_sums(np.arange(q), m - 1)  # symmetric, so in any digit order
-    dt = np.min_scalar_type(max(q - 1, 1))
-    tables = tuple(((t - digit_sum) % q).astype(dt) for t in targets)
+    residue = _digit_sums(np.arange(q), m - 1, q)  # symmetric, so in any digit order
+    # a Python int t keeps t + q - residue non-negative in the residues' unsigned dtype
+    tables = tuple(((int(t) + q - residue) % q).astype(_guess_dtype(q), copy=False)
+                   for t in targets)
     return Strategy(q, tables)
 
 
@@ -482,7 +492,7 @@ def solvable_interval_set(n: int, q: int) -> tuple[SolvableSet, Strategy]:
     """Largest-possible solvable set on K_n with q >= n colors: sums in [n]."""
     if not 1 <= n <= q:
         raise ParameterError(f"need 1 <= n <= q (got n={n}, q={q})")
-    mask = (_digit_sums(np.arange(q), n) % q < n).reshape((q,) * n)
+    mask = (_digit_sums(np.arange(q), n, q) < n).reshape((q,) * n)
     return SolvableSet(n, q, mask), sum_target_strategy(n, q, list(range(n)))
 
 
@@ -804,7 +814,7 @@ def subgraph_lift(h: Graph, s: Strategy, embedding: Mapping[int, int], g: Graph,
                 raise ParameterError(
                     f"embedding does not preserve edge ({u},{v})")
 
-    dt = np.min_scalar_type(max(q - 1, 1))
+    dt = _guess_dtype(q)
     tables: list[np.ndarray] = [None] * g.n_vertices  # type: ignore[list-item]
     image = {gv: hv for hv, gv in emb.items()}
     for gv in range(g.n_vertices):

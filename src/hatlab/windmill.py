@@ -28,10 +28,11 @@ import numpy as np
 
 from .errors import (CertificateError, InfeasibleError, ParameterError, file_int, file_rows,
                      read_json, write_json)
-from .game import (MAX_AXES, SolvableSet, Strategy, _digit_sums, _table_cells,
+from .game import (MAX_AXES, SolvableSet, Strategy, _digit_sums, _guess_dtype, _table_cells,
                    build_graph, correct_guess_counts, sum_target_strategy)
 
 MAX_MEMBER_ENUMERATION = 10**7  # cap on the cells of one solvable-set mask
+MAX_AXLE_TABLE = 10**8  # cap on the entries of an assembled axle table
 
 
 def _cells_guard(q: int, m: int) -> None:
@@ -55,8 +56,8 @@ def parity_set(k: int) -> SolvableSet:
     """Half of [2k-2]^(k-1): the union of the subcubes C_v over odd-weight v,
     where digit i lies in [(k-1)v_i, (k-1)(v_i+1))."""
     q = _parity_guard(k)
-    upper = _digit_sums(np.arange(q) // (k - 1), k - 1)
-    return SolvableSet(k - 1, q, (upper % 2 == 1).reshape((q,) * (k - 1)))
+    upper = _digit_sums(np.arange(q) // (k - 1), k - 1, 2)
+    return SolvableSet(k - 1, q, (upper == 1).reshape((q,) * (k - 1)))
 
 
 def parity_set_strategy(k: int, side: str) -> tuple[SolvableSet, Strategy]:
@@ -73,16 +74,14 @@ def parity_set_strategy(k: int, side: str) -> tuple[SolvableSet, Strategy]:
     odd = parity_set(k)
     q, m = odd.q, k - 1
     # the mates' digits in any order: only their sums enter the guesses
-    vsum = _digit_sums(np.arange(q) // (k - 1), m - 1)
-    ysum = _digit_sums(np.arange(q) % (k - 1), m - 1)
-    dt = np.min_scalar_type(q - 1)
-    tables = []
-    for i in range(m):
-        v_i = (want - vsum) % 2
-        y_i = (i - ysum) % (k - 1)
-        tables.append((y_i + (k - 1) * v_i).astype(dt))
+    vsum = _digit_sums(np.arange(q) // m, m - 1, 2)
+    ysum = _digit_sums(np.arange(q) % m, m - 1, m)
+    dt = _guess_dtype(q)
+    v = ((vsum ^ want) * m).astype(dt)  # the subcube digit, the same for every player
+    # i + m - ysum stays non-negative in the residues' unsigned dtype
+    tables = tuple(((i + m - ysum) % m).astype(dt) + v for i in range(m))
     solvable = odd if side == "odd" else SolvableSet(m, q, ~odd.mask)
-    return solvable, Strategy(q, tuple(tables))
+    return solvable, Strategy(q, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def sum_avoid_set(a: ResidueSet, k: int, q: int) -> tuple[SolvableSet, Strategy]
         raise ParameterError(
             f"need q - |A| = k - 1 (q={q}, |A|={len(a)}, k={k})")
     _cells_guard(q, k - 1)
-    mask = ~a.mask[_digit_sums(np.arange(q), k - 1) % q].reshape((q,) * (k - 1))
+    mask = ~a.mask[_digit_sums(np.arange(q), k - 1, q)].reshape((q,) * (k - 1))
     return SolvableSet(k - 1, q, mask), sum_target_strategy(k - 1, q, targets)
 
 
@@ -243,12 +242,17 @@ class BladePiece:
 @dataclass(frozen=True)
 class ProductCertificate:
     """Blueprint for a windmill strategy: per color, one solvable set with
-    strategy per blade; the color's product is the complements' box."""
+    strategy per blade; the color's product is the complements' box.
+    Construction runs `validate_certificate`, so every instance is
+    well-shaped."""
 
     k: int
     n: int
     q: int
     products: tuple[tuple[BladePiece, ...], ...]
+
+    def __post_init__(self) -> None:
+        validate_certificate(self)
 
 
 def validate_certificate(cert: ProductCertificate) -> None:
@@ -319,7 +323,6 @@ def product_certificate_residue(d: int, n: int) -> ProductCertificate:
 def certificate_disjointness_check(cert: ProductCertificate) -> bool:
     """Products are boxes, so two are disjoint iff some blade's factors are;
     a factor pair is disjoint iff the two solvable sets union to everything."""
-    validate_certificate(cert)
     for p1, p2 in itertools.combinations(cert.products, 2):
         if not any((a.solvable.mask | b.solvable.mask).all() for a, b in zip(p1, p2)):
             return False
@@ -329,7 +332,6 @@ def certificate_disjointness_check(cert: ProductCertificate) -> bool:
 def certificate_blade_check(cert: ProductCertificate) -> bool:
     """Every piece's strategy must win restricted to its solvable set: some
     player guesses right on every cell of the mask."""
-    validate_certificate(cert)
     g = build_graph("complete", cert.k - 1)
     for product in cert.products:
         for piece in product:
@@ -351,47 +353,35 @@ def _blade_flat_tables(cert: ProductCertificate) -> list[list[np.ndarray]]:
              for t in range(cert.k - 1)] for j in range(cert.n)]
 
 
-def _product_box(cert: ProductCertificate, i: int) -> np.ndarray:
-    """Color i's product over the C-order axle tensor (q^(k-1),)*n.
-
-    The axle reads blade vertex t as base-q digit t of its blade's cell, so a
-    blade's cells are its mask raveled in F order, and blade j, the (j+1)-th
-    least significant base-q^(k-1) digit of the axle index, is axis n-1-j.
-    """
-    n, side = cert.n, cert.q ** (cert.k - 1)
-    box = np.ones((1,) * n, dtype=bool)
-    for j, piece in enumerate(cert.products[i]):
-        outside = ~piece.solvable.mask.ravel(order="F")
-        box = box & outside.reshape([side if a == n - 1 - j else 1 for a in range(n)])
-    return box
-
-
-def assemble_windmill_strategy(
-    cert: ProductCertificate, *, max_axle_table: int = 10**8
-) -> Strategy:
+def assemble_windmill_strategy(cert: ProductCertificate) -> Strategy:
     """Materialize the full windmill strategy as dense guess tables.
 
-    The axle's table has q^((k-1)n) entries — anything past max_axle_table
+    The axle's table has q^((k-1)n) entries — anything past MAX_AXLE_TABLE
     raises InfeasibleError (use certificate_random_loss_check to sample such
     strategies instead).
     """
-    validate_certificate(cert)
     if not certificate_disjointness_check(cert):
         raise CertificateError("products are not pairwise disjoint")
     k, n, q = cert.k, cert.n, cert.q
     m = k - 1
     axle_size = q ** (m * n)
-    if axle_size > max_axle_table:
+    if axle_size > MAX_AXLE_TABLE:
         raise InfeasibleError(
-            f"axle table needs {axle_size} entries (> {max_axle_table})",
+            f"axle table needs {axle_size} entries (> {MAX_AXLE_TABLE})",
             required=axle_size)
 
-    dt = np.min_scalar_type(q - 1)
-    # the products are disjoint, so each cell is in at most one box; cells in
-    # none keep the fill, class 0 (as do the cells of box 0)
+    dt = _guess_dtype(q)
+    # The axle is the C-order tensor (q^(k-1),)*n.  It reads blade vertex t
+    # as base-q digit t of its blade's cell, so a blade's cells are its mask
+    # raveled in F order, and blade j, the (j+1)-th least significant
+    # base-q^(k-1) digit of the axle index, is axis n-1-j: color i's product
+    # is the np.ix_ box of the blades' outside cells in reverse blade order.
+    # The products are disjoint, so each cell is in at most one box; cells in
+    # none keep the fill, class 0 (as do the cells of box 0).
     axle = np.zeros((q**m,) * n, dtype=dt)
     for i in range(1, q):
-        np.copyto(axle, i, where=_product_box(cert, i))
+        axle[np.ix_(*(np.flatnonzero(~piece.solvable.mask.ravel(order="F"))
+                      for piece in reversed(cert.products[i])))] = i
 
     blades = [t.astype(dt) for per_vertex in _blade_flat_tables(cert) for t in per_vertex]
     return Strategy(q, (axle.ravel(), *blades))
@@ -422,7 +412,6 @@ def _certificate_guesses(cert: ProductCertificate, colors: np.ndarray) -> np.nda
 
 def windmill_guesses(cert: ProductCertificate, assignment: Sequence[int]) -> tuple[int, ...]:
     """Evaluate the certificate's strategy on one assignment without tables."""
-    validate_certificate(cert)
     if len(assignment) != 1 + (cert.k - 1) * cert.n:
         raise ParameterError("assignment length does not match the windmill")
     if any(not 0 <= c < cert.q for c in assignment):
@@ -438,7 +427,6 @@ def certificate_random_loss_check(
     Samples the full assignment space of the windmill and evaluates the
     certificate's strategy vectorized, without materializing the axle table.
     """
-    validate_certificate(cert)
     if trials < 0:
         raise ParameterError(f"trials must be >= 0, got {trials}")
     if not certificate_disjointness_check(cert):
@@ -517,7 +505,6 @@ def counting_inequality_check(mode: str, **params: int) -> bool:
 
 
 def write_certificate_file(path: str, cert: ProductCertificate) -> None:
-    validate_certificate(cert)
     write_json(path, {
         "k": cert.k,
         "n": cert.n,
@@ -553,6 +540,4 @@ def read_certificate_file(path: str) -> ProductCertificate:
             tuple(_file_piece(piece, k - 1, q) for piece in product)
             for product in payload["products"]))
 
-    cert = read_json(path, "certificate file", parse)
-    validate_certificate(cert)
-    return cert
+    return read_json(path, "certificate file", parse)

@@ -403,6 +403,15 @@ def test_missing_or_negative_parameters_exit_two(capsys, monkeypatch, argv, budg
     assert_one_error_line(capsys, argv)
 
 
+@pytest.mark.parametrize("d", ["7", "8"])
+def test_h_lower_past_the_point_cap_exits_three_at_once(capsys, d):
+    started = time.perf_counter()
+    code, reports = run(capsys, "lemma", "h-lower", "-d", d, "--trials", "1")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert len(reports) == 1 and reports[0]["status"] == "infeasible"
+
+
 LEMMA_ALL_PAYLOADS = [
     {"lemma": "three-cubes", "minimum": 20},
     {"lemma": "four-cubes", "quadruples": 16777216, "above_29": 16636608,

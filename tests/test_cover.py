@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hatlab.cover as cover_module
 from hatlab import (
     AxisPartition,
     HallViolator,
@@ -253,6 +254,18 @@ def test_coverability_sweep_random_mode_is_seeded():
     assert a.ok
     with pytest.raises(InfeasibleError):
         coverability_sweep(3, "exhaustive")
+
+
+@pytest.mark.parametrize("d, error", [(7, InfeasibleError), (8, InfeasibleError),
+                                      (9, ParameterError)])
+def test_random_sweep_refuses_before_drawing(monkeypatch, d, error):
+    """d = 7 and 8 ask for 873,612 and 17,650,828 points, past MAX_POINTS."""
+    def no_draws(*args):
+        raise AssertionError("the sweep drew points before refusing")
+
+    monkeypatch.setattr(cover_module.random, "Random", no_draws)
+    with pytest.raises(error):
+        coverability_sweep(d, "random", trials=1)
 
 
 def test_point_set_validation():

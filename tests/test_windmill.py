@@ -224,6 +224,45 @@ def test_set_masks_match_enumeration():
         {x for x in itertools.product(range(5), repeat=3) if sum(x) % 5 not in (1, 4)}
 
 
+def int64_digit_sums(values, m):
+    """sum_j values[c_j] over [q]^m in C order, as int64, by np.indices."""
+    q = len(values)
+    return np.asarray(values, dtype=np.int64)[np.indices((q,) * m).reshape(m, q**m)].sum(axis=0)
+
+
+def same_arrays(got, want):
+    return len(got) == len(want) and all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_parity_constructions_match_an_int64_reference(k):
+    q, m = 2 * k - 2, k - 1
+    high, low = np.arange(q) // m, np.arange(q) % m
+    odd = (int64_digit_sums(high, m) % 2 == 1).reshape((q,) * m)
+    assert same_arrays([parity_set(k).mask], [odd])
+    vsum, ysum = int64_digit_sums(high, m - 1), int64_digit_sums(low, m - 1)
+    for side, want in (("odd", 1), ("even", 0)):
+        solvable, strat = parity_set_strategy(k, side)
+        tables = [((i - ysum) % m + m * ((want - vsum) % 2)).astype(np.min_scalar_type(q - 1))
+                  for i in range(m)]
+        assert same_arrays([solvable.mask], [odd if want else ~odd])
+        assert same_arrays(strat.tables, tables)
+
+
+@pytest.mark.parametrize("q, k, avoided", [(4, 3, {0, 2}), (5, 4, {1, 4}), (9, 7, {2, 5, 8}),
+                                           (130, 3, set(range(2, 130)))])
+def test_sum_avoid_set_matches_an_int64_reference(q, k, avoided):
+    solvable, strat = sum_avoid_set(residues(q, avoided), k, q)
+    totals = int64_digit_sums(np.arange(q), k - 1) % q
+    want = ~np.isin(totals, list(avoided)).reshape((q,) * (k - 1))
+    assert same_arrays([solvable.mask], [want])
+    targets = sorted(set(range(q)) - avoided)
+    mates = int64_digit_sums(np.arange(q), k - 2)
+    assert same_arrays(strat.tables,
+                       [((t - mates) % q).astype(np.min_scalar_type(q - 1)) for t in targets])
+
+
 def test_sum_avoid_set_needs_matching_count():
     with pytest.raises(ParameterError):
         sum_avoid_set(residues(4, {0}), 3, 4)  # q-|A|=3 != k-1
@@ -367,6 +406,40 @@ def test_asymmetric_certificate_fixes_the_mask_axis_order(tmp_path):
     back = read_certificate_file(str(path))
     assert [[p.solvable for p in product] for product in back.products] == \
         [[p.solvable for p in product] for product in cert.products]
+
+
+def broadcast_box_axle(cert):
+    """The axle as the assembly once built it: per color, a full-size bool
+    box broadcast from the blades' outside cells, blade j on axis n-1-j."""
+    n, side = cert.n, cert.q ** (cert.k - 1)
+    axle = np.zeros((side,) * n, dtype=np.min_scalar_type(cert.q - 1))
+    for i in range(1, cert.q):
+        box = np.ones((1,) * n, dtype=bool)
+        for j, piece in enumerate(cert.products[i]):
+            outside = ~piece.solvable.mask.ravel(order="F")
+            box = box & outside.reshape([side if a == n - 1 - j else 1 for a in range(n)])
+        np.copyto(axle, i, where=box)
+    return axle.ravel()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: product_certificate_parity(3, 2),
+    lambda: product_certificate_parity(4, 3),
+    lambda: product_certificate_residue(2, 2),
+    lambda: product_certificate_residue(3, 1),
+    lambda: permuted_parity_certificate([1, 2, 3, 0]),
+], ids=["parity-3-2", "parity-4-3", "residue-2-2", "residue-3-1", "permuted-parity"])
+def test_axle_matches_the_broadcast_box_reference(build):
+    cert = build()
+    assert same_arrays(assemble_windmill_strategy(cert).tables[:1], [broadcast_box_axle(cert)])
+
+
+def test_malformed_certificates_cannot_be_built():
+    cert = product_certificate_parity(3, 2)
+    with pytest.raises(CertificateError):
+        ProductCertificate(cert.k, cert.n, cert.q, cert.products[:-1])
+    with pytest.raises(CertificateError):
+        ProductCertificate(cert.k + 1, cert.n, cert.q, cert.products)
 
 
 # --- counting ---------------------------------------------------------------
