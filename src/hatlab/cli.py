@@ -3,7 +3,8 @@
 Every run prints one JSON report per line on stdout — nothing else — with
 fields status/payload/elapsed_ms, and exits 0 (verified), 1 (falsified),
 2 (usage or error, or stdout closed by its reader), or 3 (infeasible under
-the budget).
+the budget).  Each verb is a generator of (status, payload) reports;
+`_run` alone times and prints them and picks the exit code.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 
 from . import cover, cube, game, windmill
 from .errors import HatLabError, InfeasibleError, ParameterError
@@ -60,6 +62,15 @@ def _emit(status: str, payload: dict, started: float) -> int:
     return _STATUS_EXIT[status]
 
 
+def _verify_fields(rep: game.VerificationReport) -> dict:
+    """The payload fields of a verify report: the win, the count checked
+    and the counterexample of a loss."""
+    fields = {"wins": rep.wins, "assignments_checked": rep.assignments_checked}
+    if rep.counterexample is not None:
+        fields["counterexample"] = list(rep.counterexample)
+    return fields
+
+
 def _resolve_budget(value: int | None, fallback: int) -> int:
     if value is None:
         env = os.environ.get("HATLAB_BUDGET")
@@ -75,14 +86,15 @@ def _resolve_budget(value: int | None, fallback: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lemma items — each returns (status, payload)
+# lemma items — each returns (holds, payload)
 
-LemmaResult = tuple[str, dict]
+LemmaResult = tuple[bool, dict]
+Reports = Iterator[tuple[str, dict]]
 
 
 def _lemma_three_cubes(args: argparse.Namespace) -> LemmaResult:
     minimum = cube.three_cubes_min_two_intersection()
-    return ("verified" if minimum == 20 else "falsified", {"minimum": minimum})
+    return minimum == 20, {"minimum": minimum}
 
 
 def _lemma_four_cubes(args: argparse.Namespace) -> LemmaResult:
@@ -94,18 +106,17 @@ def _lemma_four_cubes(args: argparse.Namespace) -> LemmaResult:
         "cube_minus_point": rep.cube_minus_point,
         "violations": [[list(c) for c in quad] for quad in rep.violations],
     }
-    return ("verified" if rep.ok else "falsified", payload)
+    return rep.ok, payload
 
 
 def _lemma_square_minima(args: argparse.Namespace) -> LemmaResult:
     minima = cube.square_two_intersection_minima()
-    payload = {"pair": minima[0], "triple": minima[1], "quadruple": minima[2]}
-    return ("verified" if minima == (4, 8, 12) else "falsified", payload)
+    return minima == (4, 8, 12), {"pair": minima[0], "triple": minima[1], "quadruple": minima[2]}
 
 
 def _lemma_prism_cover(args: argparse.Namespace) -> LemmaResult:
     ok = cube.prism_cover_impossible()
-    return ("verified" if ok else "falsified", {"impossible": ok})
+    return ok, {"impossible": ok}
 
 
 def _lemma_h_lower(args: argparse.Namespace) -> LemmaResult:
@@ -117,9 +128,9 @@ def _lemma_h_lower(args: argparse.Namespace) -> LemmaResult:
         "mode": rep.mode,
         "set_size": rep.set_size,
         "sets_checked": rep.sets_checked,
-        "failures": [[list(p) for p in s] for s in rep.failures],
+        "failures": [[list(p) for p in s.points] for s in rep.failures],
     }
-    return ("verified" if rep.ok else "falsified", payload)
+    return rep.ok, payload
 
 
 def _lemma_noncoverable(args: argparse.Namespace) -> LemmaResult:
@@ -127,29 +138,21 @@ def _lemma_noncoverable(args: argparse.Namespace) -> LemmaResult:
         raise ParameterError("noncoverable needs -d")
     # raises if its own matching check unexpectedly finds a cover
     s = cover.noncoverable_construction(args.d)
-    return ("verified", {"d": args.d, "size": len(s.points), "noncoverable": True})
-
-
-def _difference_disjoint_one(d: int, n: int, trials: int, seed: int) -> tuple[bool, dict]:
-    fam = windmill.difference_disjoint_family(d, n)
-    disjoint = windmill.is_difference_disjoint(fam.sets, fam.modulus)
-    worst = windmill.translate_intersection_max(fam.sets, fam.modulus, trials, seed=seed)
-    payload = {
-        "d": d,
-        "n": n,
-        "modulus": fam.modulus,
-        "set_sizes": [len(s) for s in fam.sets],
-        "disjoint": disjoint,
-        "translate_intersection_max": worst,
-    }
-    return disjoint and worst <= 1, payload
+    return True, {"d": args.d, "size": len(s.points), "noncoverable": True}
 
 
 def _lemma_difference_disjoint(args: argparse.Namespace) -> LemmaResult:
-    if args.d is not None and args.n is not None:
-        ok, payload = _difference_disjoint_one(args.d, args.n, args.trials, args.seed)
-        return ("verified" if ok else "falsified", payload)
-    if args.d is not None or args.n is not None:
+    d, n = args.d, args.n
+    if d is not None and n is not None:
+        fam = windmill.difference_disjoint_family(d, n)
+        disjoint = windmill.is_difference_disjoint(fam.sets, fam.modulus)
+        worst = windmill.translate_intersection_max(fam.sets, fam.modulus, args.trials,
+                                                    seed=args.seed)
+        payload = {"d": d, "n": n, "modulus": fam.modulus,
+                   "set_sizes": [len(s) for s in fam.sets], "disjoint": disjoint,
+                   "translate_intersection_max": worst}
+        return disjoint and worst <= 1, payload
+    if d is not None or n is not None:
         raise ParameterError("give both -d and -n, or neither for the full sweep")
     # sweep every family with modulus d^n up to the cap
     cap = 4096
@@ -163,8 +166,7 @@ def _lemma_difference_disjoint(args: argparse.Namespace) -> LemmaResult:
                 bad.append([d, n])
             families += 1
             n += 1
-    payload = {"max_modulus": cap, "families": families, "failures": bad}
-    return ("verified" if not bad else "falsified", payload)
+    return not bad, {"max_modulus": cap, "families": families, "failures": bad}
 
 
 def _lemma_parity(args: argparse.Namespace) -> LemmaResult:
@@ -182,8 +184,7 @@ def _lemma_parity(args: argparse.Namespace) -> LemmaResult:
     payload = {"k": k, "q": q, "half_size": q ** (k - 1) // 2,
                "odd_wins": wins["odd"], "even_wins": wins["even"],
                "sizes_match": sizes_ok}
-    ok = sizes_ok and wins["odd"] and wins["even"]
-    return ("verified" if ok else "falsified", payload)
+    return sizes_ok and wins["odd"] and wins["even"], payload
 
 
 def _lemma_counting(args: argparse.Namespace) -> LemmaResult:
@@ -193,24 +194,25 @@ def _lemma_counting(args: argparse.Namespace) -> LemmaResult:
     if None in params.values():
         raise ParameterError(f"counting --mode {mode} needs -" + " and -".join(keys))
     holds = windmill.counting_inequality_check(mode, **params)
-    return ("verified" if holds else "falsified", {"mode": mode, **params, "holds": holds})
+    return holds, {"mode": mode, **params, "holds": holds}
 
 
-def _windmill_certificate(args: argparse.Namespace) -> windmill.ProductCertificate:
-    mode = args.mode or ("residue" if args.d is not None else "parity")
+def _windmill_certificate(mode: str | None, k: int | None, d: int | None,
+                          n: int | None) -> windmill.ProductCertificate:
+    mode = mode or ("residue" if d is not None else "parity")
     if mode == "parity":
-        if args.k is None or args.n is None:
+        if k is None or n is None:
             raise ParameterError("windmill --mode parity needs -k and -n")
-        return windmill.product_certificate_parity(args.k, args.n)
+        return windmill.product_certificate_parity(k, n)
     if mode != "residue":
         raise ParameterError(f"unknown windmill mode {mode!r}")
-    if args.d is None or args.n is None:
+    if d is None or n is None:
         raise ParameterError("windmill --mode residue needs -d and -n")
-    return windmill.product_certificate_residue(args.d, args.n)
+    return windmill.product_certificate_residue(d, n)
 
 
 def _lemma_windmill(args: argparse.Namespace) -> LemmaResult:
-    cert = _windmill_certificate(args)
+    cert = _windmill_certificate(args.mode, args.k, args.d, args.n)
     budget = _resolve_budget(args.budget, game.DEFAULT_ASSIGNMENT_BUDGET)
     g = game.build_graph("windmill", cert.k, cert.n)
     payload: dict = {"k": cert.k, "n": cert.n, "q": cert.q,
@@ -220,19 +222,15 @@ def _lemma_windmill(args: argparse.Namespace) -> LemmaResult:
         strat = windmill.assemble_windmill_strategy(cert)
         rep = game.verify_strategy(g, cert.q, strat, budget=budget,
                                    threads=args.threads)
-        payload.update(route="exhaustive", wins=rep.wins,
-                       assignments_checked=rep.assignments_checked)
-        if rep.counterexample is not None:
-            payload["counterexample"] = list(rep.counterexample)
-        return ("verified" if rep.wins else "falsified", payload)
+        payload.update(route="exhaustive", **_verify_fields(rep))
+        return rep.wins, payload
     # too big to enumerate: check the certificate itself, then sample
     disjoint = windmill.certificate_disjointness_check(cert)
     blades = windmill.certificate_blade_check(cert)
     losses = windmill.certificate_random_loss_check(cert, args.trials, seed=args.seed)
     payload.update(route="certificate", products_disjoint=disjoint,
                    blades_win=blades, sampled=args.trials, losses=losses)
-    ok = disjoint and blades and losses == 0
-    return ("verified" if ok else "falsified", payload)
+    return disjoint and blades and losses == 0, payload
 
 
 _LEMMA_HANDLERS = {
@@ -249,107 +247,81 @@ _LEMMA_HANDLERS = {
 }
 
 
-def _lemma_all_plan(args: argparse.Namespace) -> list[tuple[str, argparse.Namespace]]:
-    def ns(**kw) -> argparse.Namespace:
-        base = dict(d=None, n=None, k=None, mode=None, trials=args.trials,
-                    seed=args.seed, budget=args.budget, threads=args.threads)
-        base.update(kw)
-        return argparse.Namespace(**base)
+def _lemma_plan(args: argparse.Namespace) -> list[tuple[str, argparse.Namespace]]:
+    """The lemma named, or for `all` every lemma at fixed parameters, each
+    with the seed, budget, threads and trials given."""
+    if args.name != "all":
+        return [(args.name, args)]
 
-    plan = [
-        ("three-cubes", ns()),
-        ("four-cubes", ns()),
-        ("square-minima", ns()),
-        ("prism-cover", ns()),
-        ("h-lower", ns(d=2, mode="exhaustive")),
-    ]
+    def ns(**kw) -> argparse.Namespace:
+        return argparse.Namespace(**{**vars(args), "d": None, "n": None, "k": None,
+                                     "mode": None, **kw})
+
+    plan = [(name, ns()) for name in ("three-cubes", "four-cubes", "square-minima",
+                                      "prism-cover")]
+    plan.append(("h-lower", ns(d=2, mode="exhaustive")))
     plan += [("noncoverable", ns(d=d)) for d in range(1, 5)]
     plan.append(("difference-disjoint", ns()))
     plan += [("parity", ns(k=k)) for k in (2, 3, 4)]
-    plan += [
-        ("windmill", ns(mode="parity", k=3, n=2)),
-        ("windmill", ns(mode="parity", k=4, n=3)),
-    ]
+    plan += [("windmill", ns(mode="parity", k=k, n=n)) for k, n in ((3, 2), (4, 3))]
     return plan
 
 
-def cmd_lemma(args: argparse.Namespace) -> int:
-    if args.name == "all":
-        worst = EXIT_VERIFIED
-        for name, sub in _lemma_all_plan(args):
-            started = time.perf_counter()
-            status, payload = _LEMMA_HANDLERS[name](sub)
-            payload = {"lemma": name, **payload}
-            worst = max(worst, _emit(status, payload, started))
-        return worst
-    started = time.perf_counter()
-    status, payload = _LEMMA_HANDLERS[args.name](args)
-    return _emit(status, {"lemma": args.name, **payload}, started)
+def cmd_lemma(args: argparse.Namespace) -> Reports:
+    for name, sub in _lemma_plan(args):
+        holds, payload = _LEMMA_HANDLERS[name](sub)
+        yield "verified" if holds else "falsified", {"lemma": name, **payload}
 
 
 # ---------------------------------------------------------------------------
 # construct
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    name = args.name
+def cmd_construct(args: argparse.Namespace) -> Reports:
+    name, out = args.name, args.output
     if name == "sum":
         if args.n is None:
             raise ParameterError("construct sum needs -n")
         g = game.build_graph("complete", args.n)
-        strat = game.complete_sum_strategy(args.n, args.n)
-        game.write_strategy_file(args.output, g, strat)
-        payload = {"written": args.output, "graph": graph_spec_string(g), "q": args.n}
-        return _emit("verified", payload, started)
-
-    if name in ("windmill-2k2", "windmill-dn"):
+        game.write_strategy_file(out, g, game.complete_sum_strategy(args.n, args.n))
+        payload = {"written": out, "graph": graph_spec_string(g), "q": args.n}
+    elif name in ("windmill-2k2", "windmill-dn"):
         mode = "parity" if name == "windmill-2k2" else "residue"
-        sub = argparse.Namespace(mode=mode, k=args.k, d=args.d, n=args.n)
-        cert = _windmill_certificate(sub)
+        cert = _windmill_certificate(mode, args.k, args.d, args.n)
         g = game.build_graph("windmill", cert.k, cert.n)
-        payload = {"graph": graph_spec_string(g), "q": cert.q,
-                   "k": cert.k, "n": cert.n}
+        payload = {"graph": graph_spec_string(g), "q": cert.q, "k": cert.k, "n": cert.n}
         if args.certificate:
-            windmill.write_certificate_file(args.output, cert)
-            payload.update(written=args.output, kind="certificate")
+            windmill.write_certificate_file(out, cert)
+            payload.update(written=out, kind="certificate")
         else:
-            strat = windmill.assemble_windmill_strategy(cert)
-            game.write_strategy_file(args.output, g, strat)
-            payload.update(written=args.output, kind="strategy")
-        return _emit("verified", payload, started)
-
-    if name == "k22":
+            game.write_strategy_file(out, g, windmill.assemble_windmill_strategy(cert))
+            payload.update(written=out, kind="strategy")
+    elif name == "k22":
         p_parts, q_parts = cube.k22_certificate_search()
         strat = cube.strategy_from_bipartite_partitions(2, 3, [p_parts, q_parts])
         g = game.build_graph("complete_bipartite", 2, 2)
-        game.write_strategy_file(args.output, g, strat)
+        game.write_strategy_file(out, g, strat)
         payload = {
-            "written": args.output,
+            "written": out,
             "graph": graph_spec_string(g),
             "q": 3,
             "partition_p": [cube.mask_to_hex(m) for m in p_parts],
             "partition_q": [cube.mask_to_hex(m) for m in q_parts],
         }
-        return _emit("verified", payload, started)
-
-    if name == "noncoverable":
+    else:  # noncoverable, the last of the parser's choices
         if args.d is None:
             raise ParameterError("construct noncoverable needs -d")
         s = cover.noncoverable_construction(args.d)
-        cover.write_point_set(args.output, s)
-        payload = {"written": args.output, "d": args.d, "size": len(s.points)}
-        return _emit("verified", payload, started)
-
-    raise ParameterError(f"unknown construction {name!r}")
+        cover.write_point_set(out, s)
+        payload = {"written": out, "d": args.d, "size": len(s.points)}
+    yield "verified", payload
 
 
 # ---------------------------------------------------------------------------
 # verify / cover / search
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_verify(args: argparse.Namespace) -> Reports:
     g = parse_graph_spec(args.graph)
     file_graph, file_q, strat = game.read_strategy_file(args.strategy)
     if (file_graph.family, file_graph.params) != (g.family, g.params):
@@ -368,19 +340,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     budget = _resolve_budget(args.budget, game.DEFAULT_ASSIGNMENT_BUDGET)
     rep = game.verify_strategy(g, args.q, strat, restriction=restriction,
                                budget=budget, threads=args.threads)
-    payload: dict = {
-        "graph": args.graph,
-        "q": args.q,
-        "wins": rep.wins,
-        "assignments_checked": rep.assignments_checked,
-    }
-    if rep.counterexample is not None:
-        payload["counterexample"] = list(rep.counterexample)
-    return _emit("verified" if rep.wins else "falsified", payload, started)
+    payload = {"graph": args.graph, "q": args.q, **_verify_fields(rep)}
+    yield "verified" if rep.wins else "falsified", payload
 
 
-def cmd_cover(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_cover(args: argparse.Namespace) -> Reports:
     s = cover.read_point_set(args.file)
     result = cover.coverable(s)
     if isinstance(result, cover.AxisPartition):
@@ -397,12 +361,11 @@ def cmd_cover(args: argparse.Namespace) -> int:
         oracle = cover.coverable_bruteforce(s, budget=budget)
         payload["bruteforce_agrees"] = oracle == (status == "verified")
         if not payload["bruteforce_agrees"]:
-            return _emit("error", payload, started)
-    return _emit(status, payload, started)
+            status = "error"
+    yield status, payload
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_search(args: argparse.Namespace) -> Reports:
     g = parse_graph_spec(args.graph)
     budget = _resolve_budget(args.budget, game.DEFAULT_SEARCH_BUDGET)
     outcome = game.search_strategy(g, args.q, budget=budget)
@@ -413,15 +376,27 @@ def cmd_search(args: argparse.Namespace) -> int:
             game.write_strategy_file(args.output, g, outcome.strategy)
             payload["written"] = args.output
         payload["found"] = True
-        return _emit("verified", payload, started)
-    if outcome.proven_unwinnable:
+        yield "verified", payload
+    elif outcome.proven_unwinnable:
         payload.update(found=False, proven_unwinnable=True)
-        return _emit("falsified", payload, started)
-    raise InfeasibleError(f"search budget {budget} exhausted", required=budget + 1)
+        yield "falsified", payload
+    else:
+        raise InfeasibleError(f"search budget {budget} exhausted", required=budget + 1)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+# the limits a verb may take: `add_limits` gives each verb those it reads
+_LIMITS = {
+    "--seed": dict(type=int, default=0, help="seed for randomized sweeps (default 0)"),
+    "--budget": dict(type=int, default=None,
+                     help="override operation budget (or set HATLAB_BUDGET)"),
+    "--threads": dict(type=int, default=None,
+                      help="cap worker threads (default: the core count, at most 8)"),
+    "--trials": dict(type=int, default=1000, help="trials of the sampled checks (default 1000)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,15 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hat-guessing strategies on graphs: build, verify, sweep.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, trials: int = 1000) -> None:
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sweeps (default 0)")
-        p.add_argument("--budget", type=int, default=None,
-                       help="override operation budget (or set HATLAB_BUDGET)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (default: the core count, at most 8)")
-        p.add_argument("--trials", type=int, default=trials,
-                       help=f"random trials where applicable (default {trials})")
+    def add_limits(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, **_LIMITS[flag])
 
     p_lemma = sub.add_parser("lemma", help="run a finite lemma check")
     p_lemma.add_argument("name", choices=sorted(_LEMMA_HANDLERS) + ["all"])
@@ -447,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("-k", type=int, default=None, help="clique size")
     p_lemma.add_argument("--mode", default=None,
                          help="h-lower: exhaustive|random; counting/windmill: parity|residue")
-    add_common(p_lemma)
+    add_limits(p_lemma, "--seed", "--budget", "--threads", "--trials")
 
     p_con = sub.add_parser("construct", help="build an object and write it to a file")
     p_con.add_argument("name",
@@ -458,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("-k", type=int, default=None)
     p_con.add_argument("--certificate", action="store_true",
                        help="windmill: write the product certificate instead of tables")
-    add_common(p_con)
 
     p_ver = sub.add_parser("verify", help="check a strategy file against every assignment")
     p_ver.add_argument("-g", "--graph", required=True, help="graph spec, e.g. windmill:3,2")
@@ -466,19 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("-s", "--strategy", required=True, help="strategy file")
     p_ver.add_argument("--restriction", default=None,
                        help="assignment-set file restricting the adversary")
-    add_common(p_ver)
+    add_limits(p_ver, "--budget", "--threads")
 
     p_cov = sub.add_parser("cover", help="test a point-set file for coverability")
     p_cov.add_argument("--file", required=True, help="point-set file")
     p_cov.add_argument("--bruteforce", action="store_true",
                        help="cross-check against the exponential oracle")
-    add_common(p_cov)
+    add_limits(p_cov, "--budget")
 
     p_sea = sub.add_parser("search", help="exhaustive strategy search on a small graph")
     p_sea.add_argument("-g", "--graph", required=True)
     p_sea.add_argument("-q", type=int, required=True)
     p_sea.add_argument("-o", "--output", default=None, help="write any found strategy here")
-    add_common(p_sea)
+    # --threads has no effect: a searchable game is verified as one chunk
+    add_limits(p_sea, "--budget", "--threads")
 
     return parser
 
@@ -503,15 +472,23 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Print the verb's reports as they come, each timed from the end of the
+    one before, and exit with the worst; an error ends the run with its own
+    report and exit code."""
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    worst = EXIT_VERIFIED
     try:
         # refuse bad limits before any report of `lemma all` is printed
-        _resolve_budget(args.budget, 0)
-        if args.threads is not None and args.threads < 1:
-            raise ParameterError(f"--threads must be at least 1, got {args.threads}")
-        return _VERB_HANDLERS[args.verb](args)
+        if "budget" in args:
+            _resolve_budget(args.budget, 0)
+        threads = getattr(args, "threads", None)
+        if threads is not None and threads < 1:
+            raise ParameterError(f"--threads must be at least 1, got {threads}")
+        for status, payload in _VERB_HANDLERS[args.verb](args):
+            worst = max(worst, _emit(status, payload, started))
+            started = time.perf_counter()
+        return worst
     except InfeasibleError as exc:
         payload = {"message": str(exc)}
         if exc.required is not None:

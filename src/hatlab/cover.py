@@ -98,10 +98,6 @@ def is_valid_axis_partition(s: PointSet, part: AxisPartition) -> bool:
     return True
 
 
-def violates_numeric_cover(sub: PointSet) -> bool:
-    return sum(len(projection(sub, i)) for i in range(1, sub.d + 1)) < len(sub)
-
-
 def coverable(s: PointSet) -> AxisPartition | HallViolator:
     """Decide coverability by point-vs-line matching.
 

@@ -36,6 +36,7 @@ from hatlab import (
     k22_certificate_search,
     max_solvable_set_search,
     noncoverable_construction,
+    numerically_coverable,
     parity_counting_check,
     parity_set_strategy,
     prism_cover_impossible,
@@ -52,7 +53,7 @@ from hatlab import (
     vertex_cover_bound,
 )
 from hatlab.cli import main
-from hatlab.cover import is_valid_axis_partition, violates_numeric_cover
+from hatlab.cover import is_valid_axis_partition
 
 
 class Criterion:
@@ -99,7 +100,7 @@ def test_criterion_02_coverability_examples():
         rect = PointSet.of(2, itertools.product(range(2), range(3)))
         violator = coverable(rect)
         assert isinstance(violator, HallViolator)
-        assert violates_numeric_cover(violator.subset)
+        assert not numerically_coverable(violator.subset)
         assert set(violator.subset.points) <= set(rect.points)
 
 

@@ -9,12 +9,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hatlab import PointSet, write_point_set
+from hatlab import PointSet, VerificationReport, write_point_set
 from hatlab.cli import main, parse_graph_spec
+from hatlab.cube import FourCubeSweepReport
 
 
 def run(capsys, *argv):
@@ -53,6 +55,40 @@ def test_lemma_exit_codes(capsys):
     code, reports = run(capsys, "lemma", "counting", "--mode", "residue",
                         "-d", "3", "-n", "2")
     assert code == 0 and reports[0]["payload"]["holds"] is True
+
+
+# every lemma that can fail, with the library check it calls made to fail
+FALSIFIED_LEMMAS = [
+    (["three-cubes"], "hatlab.cube.three_cubes_min_two_intersection", lambda: 19),
+    (["four-cubes"], "hatlab.cube.four_cubes_two_intersection_sweep",
+     lambda: FourCubeSweepReport(1, 0, 0, 0, (((0, 0, 0),) * 4,))),
+    (["square-minima"], "hatlab.cube.square_two_intersection_minima", lambda: (4, 8, 11)),
+    (["prism-cover"], "hatlab.cube.prism_cover_impossible", lambda: False),
+    (["h-lower", "-d", "1"], "hatlab.cover._coverable_mask",
+     lambda points: np.zeros(len(points), dtype=bool)),
+    (["difference-disjoint", "-d", "2", "-n", "3"], "hatlab.windmill.is_difference_disjoint",
+     lambda sets, modulus: False),
+    (["parity", "-k", "3"], "hatlab.game.verify_strategy",
+     lambda *args, **kwargs: VerificationReport(False, (0, 0), 1)),
+    (["counting", "--mode", "residue", "-d", "3", "-n", "2"],
+     "hatlab.windmill.counting_inequality_check", lambda mode, **params: False),
+    (["windmill", "--mode", "residue", "-d", "2", "-n", "3", "--trials", "10"],
+     "hatlab.windmill.certificate_blade_check", lambda cert: False),
+]
+
+
+@pytest.mark.parametrize("argv, target, failing", FALSIFIED_LEMMAS,
+                         ids=[case[0][0] for case in FALSIFIED_LEMMAS])
+def test_a_failed_lemma_check_is_one_falsified_report(capsys, monkeypatch, argv, target,
+                                                      failing):
+    monkeypatch.setattr(target, failing)
+    code = main(["lemma", *argv])
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert code == 1
+    assert [r["status"] for r in reports] == ["falsified"]
+    assert reports[0]["payload"]["lemma"] == argv[0]
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,11 +469,13 @@ LEMMA_ALL_PAYLOADS = [
 
 
 def test_lemma_all_payloads_are_pinned(capsys):
-    code, reports = run(capsys, "lemma", "all", "--threads", "2")
-    assert code == 0
-    assert len(reports) == 15
-    assert all(r["status"] == "verified" for r in reports)
-    assert [r["payload"] for r in reports] == LEMMA_ALL_PAYLOADS
+    # the same pins at one and two threads: no report depends on the count
+    for threads in ("1", "2"):
+        code, reports = run(capsys, "lemma", "all", "--threads", threads)
+        assert code == 0
+        assert len(reports) == 15
+        assert all(r["status"] == "verified" for r in reports)
+        assert [r["payload"] for r in reports] == LEMMA_ALL_PAYLOADS
 
 
 @pytest.mark.parametrize("spec", ["complete:100000", "complete_bipartite:100000,100000"])

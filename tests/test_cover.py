@@ -30,7 +30,7 @@ from hatlab import (
     write_point_set,
 )
 from hatlab import cover
-from hatlab.cover import _coverable_mask, is_valid_axis_partition, violates_numeric_cover
+from hatlab.cover import _coverable_mask, is_valid_axis_partition
 
 
 def grid(*ranges):
@@ -93,7 +93,7 @@ def test_two_by_three_not_coverable():
     s = grid(2, 3)
     result = coverable(s)
     assert isinstance(result, HallViolator)
-    assert violates_numeric_cover(result.subset)
+    assert not numerically_coverable(result.subset)
     # the violator really is a subset
     assert set(result.subset.points) <= set(s.points)
     assert not coverable_bruteforce(s)
@@ -122,7 +122,7 @@ def test_partition_and_violator_are_valid_certificates(s):
     if isinstance(result, AxisPartition):
         assert is_valid_axis_partition(s, result)
     else:
-        assert violates_numeric_cover(result.subset)
+        assert not numerically_coverable(result.subset)
         assert set(result.subset.points) <= set(s.points)
 
 
@@ -181,7 +181,7 @@ def test_noncoverable_construction_fails_matching():
         s = noncoverable_construction(d)
         result = coverable(s)
         assert isinstance(result, HallViolator)
-        assert violates_numeric_cover(result.subset)
+        assert not numerically_coverable(result.subset)
 
 
 def test_noncoverable_two_is_the_smallest_possible():
