@@ -4,7 +4,8 @@ Every run prints one JSON report per line on stdout — nothing else — with
 fields status/payload/elapsed_ms, and exits 0 (verified), 1 (falsified),
 2 (usage or error, or stdout closed by its reader), or 3 (infeasible under
 the budget).  Each verb is a generator of (status, payload) reports;
-`_run` alone times and prints them and picks the exit code.
+`_run` alone times and prints them and picks the exit code.  A rejected
+command line is an error like any other: one `error` report and exit 2.
 """
 
 from __future__ import annotations
@@ -120,9 +121,8 @@ def _lemma_prism_cover(args: argparse.Namespace) -> LemmaResult:
 
 
 def _lemma_h_lower(args: argparse.Namespace) -> LemmaResult:
-    d = 2 if args.d is None else args.d
-    mode = args.mode or ("exhaustive" if d <= 2 else "random")
-    rep = cover.coverability_sweep(d, mode, trials=args.trials, seed=args.seed)
+    mode = args.mode or ("exhaustive" if args.d <= 2 else "random")
+    rep = cover.coverability_sweep(args.d, mode, trials=args.trials, seed=args.seed)
     payload = {
         "d": rep.d,
         "mode": rep.mode,
@@ -234,43 +234,25 @@ def _lemma_windmill(args: argparse.Namespace) -> LemmaResult:
 
 
 _LEMMA_HANDLERS = {
-    "three-cubes": _lemma_three_cubes,
-    "four-cubes": _lemma_four_cubes,
-    "square-minima": _lemma_square_minima,
-    "prism-cover": _lemma_prism_cover,
-    "h-lower": _lemma_h_lower,
-    "noncoverable": _lemma_noncoverable,
-    "difference-disjoint": _lemma_difference_disjoint,
-    "parity": _lemma_parity,
-    "counting": _lemma_counting,
-    "windmill": _lemma_windmill,
+    "three-cubes": _lemma_three_cubes, "four-cubes": _lemma_four_cubes,
+    "square-minima": _lemma_square_minima, "prism-cover": _lemma_prism_cover,
+    "h-lower": _lemma_h_lower, "noncoverable": _lemma_noncoverable,
+    "difference-disjoint": _lemma_difference_disjoint, "parity": _lemma_parity,
+    "counting": _lemma_counting, "windmill": _lemma_windmill,
 }
 
 
-def _lemma_plan(args: argparse.Namespace) -> list[tuple[str, argparse.Namespace]]:
-    """The lemma named, or for `all` every lemma at fixed parameters, each
-    with the seed, budget, threads and trials given."""
-    if args.name != "all":
-        return [(args.name, args)]
-
-    def ns(**kw) -> argparse.Namespace:
-        return argparse.Namespace(**{**vars(args), "d": None, "n": None, "k": None,
-                                     "mode": None, **kw})
-
-    plan = [(name, ns()) for name in ("three-cubes", "four-cubes", "square-minima",
-                                      "prism-cover")]
-    plan.append(("h-lower", ns(d=2, mode="exhaustive")))
-    plan += [("noncoverable", ns(d=d)) for d in range(1, 5)]
-    plan.append(("difference-disjoint", ns()))
-    plan += [("parity", ns(k=k)) for k in (2, 3, 4)]
-    plan += [("windmill", ns(mode="parity", k=k, n=n)) for k, n in ((3, 2), (4, 3))]
-    return plan
+# `lemma all`: every lemma at fixed parameters, each line parsed as if given alone
+_LEMMA_ALL = (
+    "three-cubes", "four-cubes", "square-minima", "prism-cover", "h-lower -d 2 --mode exhaustive",
+    "noncoverable -d 1", "noncoverable -d 2", "noncoverable -d 3", "noncoverable -d 4",
+    "difference-disjoint", "parity -k 2", "parity -k 3", "parity -k 4",
+    "windmill --mode parity -k 3 -n 2", "windmill --mode parity -k 4 -n 3")
 
 
 def cmd_lemma(args: argparse.Namespace) -> Reports:
-    for name, sub in _lemma_plan(args):
-        holds, payload = _LEMMA_HANDLERS[name](sub)
-        yield "verified" if holds else "falsified", {"lemma": name, **payload}
+    holds, payload = _LEMMA_HANDLERS[args.name](args)
+    yield "verified" if holds else "falsified", {"lemma": args.name, **payload}
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +268,8 @@ def cmd_construct(args: argparse.Namespace) -> Reports:
         game.write_strategy_file(out, g, game.complete_sum_strategy(args.n, args.n))
         payload = {"written": out, "graph": graph_spec_string(g), "q": args.n}
     elif name in ("windmill-2k2", "windmill-dn"):
-        mode = "parity" if name == "windmill-2k2" else "residue"
-        cert = _windmill_certificate(mode, args.k, args.d, args.n)
+        cert = (_windmill_certificate("parity", args.k, None, args.n) if name == "windmill-2k2"
+                else _windmill_certificate("residue", None, args.d, args.n))
         g = game.build_graph("windmill", cert.k, cert.n)
         payload = {"graph": graph_spec_string(g), "q": cert.q, "k": cert.k, "n": cert.n}
         if args.certificate:
@@ -388,45 +370,60 @@ def cmd_search(args: argparse.Namespace) -> Reports:
 # argument parsing
 
 
-# the limits a verb may take: `add_limits` gives each verb those it reads
-_LIMITS = {
+# every option of a lemma or a construction; verify, cover and search take some limits
+_OPTIONS = {
+    "-o/--output": dict(required=True, help="output file"),
+    "-d": dict(type=int, help="dimension / digit base"),
+    "-n": dict(type=int, help="blade count / exponent"),
+    "-k": dict(type=int, help="clique size"),
+    "--mode": dict(help="h-lower: exhaustive|random; counting/windmill: parity|residue"),
+    "--certificate": dict(action="store_true", help="write the product certificate"),
     "--seed": dict(type=int, default=0, help="seed for randomized sweeps (default 0)"),
-    "--budget": dict(type=int, default=None,
-                     help="override operation budget (or set HATLAB_BUDGET)"),
-    "--threads": dict(type=int, default=None,
-                      help="cap worker threads (default: the core count, at most 8)"),
+    "--budget": dict(type=int, help="override operation budget (or set HATLAB_BUDGET)"),
+    "--threads": dict(type=int, help="cap worker threads (default: cores, at most 8)"),
     "--trials": dict(type=int, default=1000, help="trials of the sampled checks (default 1000)"),
 }
 
+# each lemma and construction, with the options it reads
+_NAMES = {
+    "lemma": {
+        "three-cubes": "", "four-cubes": "", "square-minima": "", "prism-cover": "",
+        "h-lower": "-d --mode --seed --trials", "noncoverable": "-d",
+        "difference-disjoint": "-d -n --seed --trials", "parity": "-k",
+        "counting": "--mode -k -d -n",
+        "windmill": "--mode -k -d -n --seed --budget --threads --trials",
+        # no item of `all` samples, so --seed has no effect there; perfbench passes it
+        "all": "--seed --budget --threads",
+    },
+    "construct": {
+        "sum": "-o/--output -n", "windmill-2k2": "-o/--output -k -n --certificate",
+        "windmill-dn": "-o/--output -d -n --certificate", "k22": "-o/--output",
+        "noncoverable": "-o/--output -d",
+    },
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # `_run` reports a rejected command line
+        raise ParameterError(f"{self.prog}: {message}")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hatlab",
-        description="Hat-guessing strategies on graphs: build, verify, sweep.")
+    parser = _Parser(prog="hatlab",
+                     description="Hat-guessing strategies on graphs: build, verify, sweep.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_limits(p: argparse.ArgumentParser, *flags: str) -> None:
-        for flag in flags:
-            p.add_argument(flag, **_LIMITS[flag])
+    def add_options(p: argparse.ArgumentParser, flags: str) -> None:
+        for flag in flags.split():
+            p.add_argument(*flag.split("/"), **_OPTIONS[flag])
 
-    p_lemma = sub.add_parser("lemma", help="run a finite lemma check")
-    p_lemma.add_argument("name", choices=sorted(_LEMMA_HANDLERS) + ["all"])
-    p_lemma.add_argument("-d", type=int, default=None, help="dimension / digit base")
-    p_lemma.add_argument("-n", type=int, default=None, help="blade count / exponent")
-    p_lemma.add_argument("-k", type=int, default=None, help="clique size")
-    p_lemma.add_argument("--mode", default=None,
-                         help="h-lower: exhaustive|random; counting/windmill: parity|residue")
-    add_limits(p_lemma, "--seed", "--budget", "--threads", "--trials")
-
-    p_con = sub.add_parser("construct", help="build an object and write it to a file")
-    p_con.add_argument("name",
-                       choices=["sum", "windmill-2k2", "windmill-dn", "k22", "noncoverable"])
-    p_con.add_argument("-o", "--output", required=True, help="output file")
-    p_con.add_argument("-d", type=int, default=None)
-    p_con.add_argument("-n", type=int, default=None)
-    p_con.add_argument("-k", type=int, default=None)
-    p_con.add_argument("--certificate", action="store_true",
-                       help="windmill: write the product certificate instead of tables")
+    for verb, help_text in (("lemma", "run a finite lemma check"),
+                            ("construct", "build an object and write it to a file")):
+        names = sub.add_parser(verb, help=help_text).add_subparsers(dest="name", required=True)
+        for name, flags in _NAMES[verb].items():
+            add_options(names.add_parser(name), flags)
+        if verb == "lemma":
+            names.choices["h-lower"].set_defaults(d=2)
 
     p_ver = sub.add_parser("verify", help="check a strategy file against every assignment")
     p_ver.add_argument("-g", "--graph", required=True, help="graph spec, e.g. windmill:3,2")
@@ -434,20 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("-s", "--strategy", required=True, help="strategy file")
     p_ver.add_argument("--restriction", default=None,
                        help="assignment-set file restricting the adversary")
-    add_limits(p_ver, "--budget", "--threads")
+    add_options(p_ver, "--budget --threads")
 
     p_cov = sub.add_parser("cover", help="test a point-set file for coverability")
     p_cov.add_argument("--file", required=True, help="point-set file")
     p_cov.add_argument("--bruteforce", action="store_true",
                        help="cross-check against the exponential oracle")
-    add_limits(p_cov, "--budget")
+    add_options(p_cov, "--budget")
 
     p_sea = sub.add_parser("search", help="exhaustive strategy search on a small graph")
     p_sea.add_argument("-g", "--graph", required=True)
     p_sea.add_argument("-q", type=int, required=True)
     p_sea.add_argument("-o", "--output", default=None, help="write any found strategy here")
     # --threads has no effect: a searchable game is verified as one chunk
-    add_limits(p_sea, "--budget", "--threads")
+    add_options(p_sea, "--budget --threads")
 
     return parser
 
@@ -473,21 +470,29 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     """Print the verb's reports as they come, each timed from the end of the
-    one before, and exit with the worst; an error ends the run with its own
-    report and exit code."""
-    args = build_parser().parse_args(argv)
+    one before, and exit with the worst; an error, a rejected command line
+    too, ends the run with its own report and exit code."""
+    parser = build_parser()
     started = time.perf_counter()
     worst = EXIT_VERIFIED
     try:
+        args = parser.parse_args(argv)
         # refuse bad limits before any report of `lemma all` is printed
         if "budget" in args:
             _resolve_budget(args.budget, 0)
         threads = getattr(args, "threads", None)
         if threads is not None and threads < 1:
             raise ParameterError(f"--threads must be at least 1, got {threads}")
-        for status, payload in _VERB_HANDLERS[args.verb](args):
-            worst = max(worst, _emit(status, payload, started))
-            started = time.perf_counter()
+        runs = [args]
+        if args.verb == "lemma" and args.name == "all":
+            # fifteen lemma command lines, each with the limits given to `all`
+            runs = [parser.parse_args(["lemma", *line.split()]) for line in _LEMMA_ALL]
+            for run in runs:
+                vars(run).update({k: v for k, v in vars(args).items() if k in run and k != "name"})
+        for run in runs:
+            for status, payload in _VERB_HANDLERS[run.verb](run):
+                worst = max(worst, _emit(status, payload, started))
+                started = time.perf_counter()
         return worst
     except InfeasibleError as exc:
         payload = {"message": str(exc)}

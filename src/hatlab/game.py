@@ -47,8 +47,6 @@ MAX_AXES = 64  # numpy's limit on the dimensions of one array
 MAX_VERTICES = 10**4  # graphs past either cap are refused before they are built
 MAX_EDGES = 10**5
 
-GRAPH_FAMILIES = ("complete", "complete_bipartite", "book", "windmill", "custom")
-
 
 # ---------------------------------------------------------------------------
 # graphs

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (CertificateError, InfeasibleError, ParameterError, file_int, file_rows,
-                     read_json, write_json)
+                     read_json, refuse_power, write_json)
 from .game import (MAX_AXES, SolvableSet, Strategy, _digit_sums, _guess_dtype, _table_cells,
                    build_graph, correct_guess_counts, sum_target_strategy)
 
@@ -132,9 +132,8 @@ def difference_disjoint_family(d: int, n: int) -> DifferenceDisjointFamily:
     """
     if d < 2 or n < 1:
         raise ParameterError("need d >= 2 and n >= 1")
+    refuse_power(d, n, FFT_MAX_MODULUS, "residues exceed the modulus cap")
     m = d**n
-    if m > FFT_MAX_MODULUS:
-        raise InfeasibleError(f"modulus {m} exceeds the {FFT_MAX_MODULUS} cap")
     x = np.arange(m)
     return DifferenceDisjointFamily(
         m, tuple(ResidueSet(m, x // d**i % d == 0) for i in range(n)))

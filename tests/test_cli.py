@@ -224,9 +224,8 @@ def test_budget_env_fallback(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["lemma", "no-such-lemma"])
-    assert exc.value.code == 2
+    code, reports = run(capsys, "lemma", "no-such-lemma")
+    assert code == 2 and [r["status"] for r in reports] == ["error"]
     code, reports = run(capsys, "verify", "-g", "complete:2", "-q", "2",
                         "-s", "/nonexistent/file.json")
     assert code == 2 and reports[0]["status"] == "error"
@@ -437,6 +436,61 @@ def test_missing_or_negative_parameters_exit_two(capsys, monkeypatch, argv, budg
     if budget_env is not None:
         monkeypatch.setenv("HATLAB_BUDGET", budget_env)
     assert_one_error_line(capsys, argv)
+
+
+# each lemma and construction as a valid command line, and the options it does not read
+UNREAD_OPTIONS = [
+    *((["lemma", name], "-d -n -k --mode --seed --budget --threads --trials")
+      for name in ("three-cubes", "four-cubes", "square-minima", "prism-cover")),
+    (["lemma", "h-lower", "-d", "1"], "-n -k --budget --threads"),
+    (["lemma", "noncoverable", "-d", "1"], "-n -k --mode --seed --budget --threads --trials"),
+    (["lemma", "difference-disjoint", "-d", "2", "-n", "2"], "-k --mode --budget --threads"),
+    (["lemma", "parity", "-k", "2"], "-d -n --mode --seed --budget --threads --trials"),
+    (["lemma", "counting", "--mode", "residue", "-d", "3", "-n", "2"],
+     "--seed --budget --threads --trials"),
+    (["lemma", "all"], "-d -n -k --mode --trials"),
+    (["construct", "sum", "-n", "3"], "-d -k --certificate"),
+    (["construct", "windmill-2k2", "-k", "3", "-n", "2"], "-d"),
+    (["construct", "windmill-dn", "-d", "2", "-n", "2"], "-k"),
+    (["construct", "k22"], "-d -n -k --certificate"),
+    (["construct", "noncoverable", "-d", "1"], "-n -k --certificate"),
+]
+VALID_VALUE = {"-d": ["2"], "-n": ["2"], "-k": ["3"], "--mode": ["parity"], "--seed": ["1"],
+               "--budget": ["100"], "--threads": ["1"], "--trials": ["10"], "--certificate": []}
+REJECTED = [argv + [flag, *VALID_VALUE[flag]]
+            for argv, flags in UNREAD_OPTIONS for flag in flags.split()]
+
+
+@pytest.mark.parametrize("argv", [
+    *REJECTED,
+    ["lemma", "all", "-d", "9", "--mode", "bogus", "-k", "99"],
+    [],
+    ["construct", "sum", "-n", "3", "--seed", "1"],
+], ids=[" ".join(argv) for argv in REJECTED] + ["all-d9-bogus-k99", "no-verb", "sum-seed"])
+def test_a_rejected_command_line_is_one_error_report(capsys, tmp_path, argv):
+    if argv[:1] == ["construct"]:
+        argv = [*argv[:2], "-o", str(tmp_path / "f.json"), *argv[2:]]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert [json.loads(line)["status"] for line in out.splitlines()] == ["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "difference-disjoint", "-d", "3", "-n", "10000"],
+    ["lemma", "windmill", "--mode", "residue", "-d", "3", "-n", "10000"],
+    ["construct", "windmill-dn", "-d", "3", "-n", "10000"],
+], ids=["difference-disjoint", "windmill", "construct"])
+def test_a_modulus_past_the_int_to_str_limit_is_refused_at_once(capsys, tmp_path, argv):
+    if argv[:1] == ["construct"]:
+        argv = [*argv[:2], "-o", str(tmp_path / "f.json"), *argv[2:]]
+    started = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line)["status"] == "infeasible"
 
 
 @pytest.mark.parametrize("d", ["7", "8"])
