@@ -3,8 +3,8 @@
 Every run prints one JSON report per line on stdout — nothing else — with
 fields status/payload/elapsed_ms, and exits 0 (verified), 1 (falsified),
 2 (usage or error, or stdout closed by its reader), or 3 (infeasible under
-the budget).  Each verb is a generator of (status, payload) reports;
-`_run` alone times and prints them and picks the exit code.  A rejected
+the budget).  Each verb returns its one (status, payload) report; `_run`
+alone times and prints the reports and picks the exit code.  A rejected
 command line is an error like any other: one `error` report and exit 2.
 """
 
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from collections.abc import Iterator
 
 from . import cover, cube, game, windmill
 from .errors import HatLabError, InfeasibleError, ParameterError
@@ -90,7 +89,6 @@ def _resolve_budget(value: int | None, fallback: int) -> int:
 # lemma items — each returns (holds, payload)
 
 LemmaResult = tuple[bool, dict]
-Reports = Iterator[tuple[str, dict]]
 
 
 def _lemma_three_cubes(args: argparse.Namespace) -> LemmaResult:
@@ -121,7 +119,7 @@ def _lemma_prism_cover(args: argparse.Namespace) -> LemmaResult:
 
 
 def _lemma_h_lower(args: argparse.Namespace) -> LemmaResult:
-    mode = args.mode or ("exhaustive" if args.d <= 2 else "random")
+    mode = "exhaustive" if args.d <= 2 else "random"
     rep = cover.coverability_sweep(args.d, mode, trials=args.trials, seed=args.seed)
     payload = {
         "d": rep.d,
@@ -187,34 +185,43 @@ def _lemma_parity(args: argparse.Namespace) -> LemmaResult:
     return sizes_ok and wins["odd"] and wins["even"], payload
 
 
+def _certificate_family(args: argparse.Namespace) -> str:
+    """`counting` and `windmill` check the parity family (q = 2k-2) when
+    given -k and the residue family (q = d^n) when given -d; any other
+    command line is refused rather than half read."""
+    if (args.k is None) == (args.d is None):
+        raise ParameterError(f"lemma {args.name} takes exactly one of -k (parity) and -d (residue)")
+    family = "parity" if args.k is not None else "residue"
+    reads_n = family == "residue" or args.name == "windmill"
+    if (args.n is not None) != reads_n:
+        raise ParameterError(f"lemma {args.name} -{'k' if family == 'parity' else 'd'} "
+                             + ("needs -n" if reads_n else "does not read -n"))
+    return family
+
+
 def _lemma_counting(args: argparse.Namespace) -> LemmaResult:
-    mode = args.mode or ("parity" if args.k is not None else "residue")
-    keys = {"parity": ("k",), "residue": ("d", "n")}.get(mode, ())
-    params = {key: getattr(args, key) for key in keys}
-    if None in params.values():
-        raise ParameterError(f"counting --mode {mode} needs -" + " and -".join(keys))
-    holds = windmill.counting_inequality_check(mode, **params)
+    mode = _certificate_family(args)
+    if mode == "parity":
+        params, holds = {"k": args.k}, windmill.parity_counting_check(args.k)
+    else:
+        params, holds = {"d": args.d, "n": args.n}, windmill.residue_counting_check(args.d, args.n)
     return holds, {"mode": mode, **params, "holds": holds}
 
 
-def _windmill_certificate(mode: str | None, k: int | None, d: int | None,
-                          n: int | None) -> windmill.ProductCertificate:
-    mode = mode or ("residue" if d is not None else "parity")
-    if mode == "parity":
-        if k is None or n is None:
-            raise ParameterError("windmill --mode parity needs -k and -n")
-        return windmill.product_certificate_parity(k, n)
-    if mode != "residue":
-        raise ParameterError(f"unknown windmill mode {mode!r}")
-    if d is None or n is None:
-        raise ParameterError("windmill --mode residue needs -d and -n")
-    return windmill.product_certificate_residue(d, n)
+def _parity_windmill(k: int, n: int) -> tuple[game.Graph, windmill.ProductCertificate]:
+    # the graph first: its caps refuse a huge windmill before a certificate is built
+    return game.build_graph("windmill", k, n), windmill.product_certificate_parity(k, n)
+
+
+def _residue_windmill(d: int, n: int) -> tuple[game.Graph, windmill.ProductCertificate]:
+    cert = windmill.product_certificate_residue(d, n)
+    return game.build_graph("windmill", cert.k, cert.n), cert
 
 
 def _lemma_windmill(args: argparse.Namespace) -> LemmaResult:
-    cert = _windmill_certificate(args.mode, args.k, args.d, args.n)
+    g, cert = (_parity_windmill(args.k, args.n) if _certificate_family(args) == "parity"
+               else _residue_windmill(args.d, args.n))
     budget = _resolve_budget(args.budget, game.DEFAULT_ASSIGNMENT_BUDGET)
-    g = game.build_graph("windmill", cert.k, cert.n)
     payload: dict = {"k": cert.k, "n": cert.n, "q": cert.q,
                      "graph": graph_spec_string(g)}
     space = cert.q**g.n_vertices
@@ -244,22 +251,22 @@ _LEMMA_HANDLERS = {
 
 # `lemma all`: every lemma at fixed parameters, each line parsed as if given alone
 _LEMMA_ALL = (
-    "three-cubes", "four-cubes", "square-minima", "prism-cover", "h-lower -d 2 --mode exhaustive",
+    "three-cubes", "four-cubes", "square-minima", "prism-cover", "h-lower -d 2",
     "noncoverable -d 1", "noncoverable -d 2", "noncoverable -d 3", "noncoverable -d 4",
     "difference-disjoint", "parity -k 2", "parity -k 3", "parity -k 4",
-    "windmill --mode parity -k 3 -n 2", "windmill --mode parity -k 4 -n 3")
+    "windmill -k 3 -n 2", "windmill -k 4 -n 3")
 
 
-def cmd_lemma(args: argparse.Namespace) -> Reports:
+def cmd_lemma(args: argparse.Namespace) -> tuple[str, dict]:
     holds, payload = _LEMMA_HANDLERS[args.name](args)
-    yield "verified" if holds else "falsified", {"lemma": args.name, **payload}
+    return "verified" if holds else "falsified", {"lemma": args.name, **payload}
 
 
 # ---------------------------------------------------------------------------
 # construct
 
 
-def cmd_construct(args: argparse.Namespace) -> Reports:
+def cmd_construct(args: argparse.Namespace) -> tuple[str, dict]:
     name, out = args.name, args.output
     if name == "sum":
         if args.n is None:
@@ -268,9 +275,10 @@ def cmd_construct(args: argparse.Namespace) -> Reports:
         game.write_strategy_file(out, g, game.complete_sum_strategy(args.n, args.n))
         payload = {"written": out, "graph": graph_spec_string(g), "q": args.n}
     elif name in ("windmill-2k2", "windmill-dn"):
-        cert = (_windmill_certificate("parity", args.k, None, args.n) if name == "windmill-2k2"
-                else _windmill_certificate("residue", None, args.d, args.n))
-        g = game.build_graph("windmill", cert.k, cert.n)
+        parity = name == "windmill-2k2"
+        if args.n is None or (args.k if parity else args.d) is None:
+            raise ParameterError(f"construct {name} needs -{'k' if parity else 'd'} and -n")
+        g, cert = _parity_windmill(args.k, args.n) if parity else _residue_windmill(args.d, args.n)
         payload = {"graph": graph_spec_string(g), "q": cert.q, "k": cert.k, "n": cert.n}
         if args.certificate:
             windmill.write_certificate_file(out, cert)
@@ -296,14 +304,14 @@ def cmd_construct(args: argparse.Namespace) -> Reports:
         s = cover.noncoverable_construction(args.d)
         cover.write_point_set(out, s)
         payload = {"written": out, "d": args.d, "size": len(s.points)}
-    yield "verified", payload
+    return "verified", payload
 
 
 # ---------------------------------------------------------------------------
 # verify / cover / search
 
 
-def cmd_verify(args: argparse.Namespace) -> Reports:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, dict]:
     g = parse_graph_spec(args.graph)
     file_graph, file_q, strat = game.read_strategy_file(args.strategy)
     if (file_graph.family, file_graph.params) != (g.family, g.params):
@@ -323,10 +331,10 @@ def cmd_verify(args: argparse.Namespace) -> Reports:
     rep = game.verify_strategy(g, args.q, strat, restriction=restriction,
                                budget=budget, threads=args.threads)
     payload = {"graph": args.graph, "q": args.q, **_verify_fields(rep)}
-    yield "verified" if rep.wins else "falsified", payload
+    return "verified" if rep.wins else "falsified", payload
 
 
-def cmd_cover(args: argparse.Namespace) -> Reports:
+def cmd_cover(args: argparse.Namespace) -> tuple[str, dict]:
     s = cover.read_point_set(args.file)
     result = cover.coverable(s)
     if isinstance(result, cover.AxisPartition):
@@ -344,10 +352,10 @@ def cmd_cover(args: argparse.Namespace) -> Reports:
         payload["bruteforce_agrees"] = oracle == (status == "verified")
         if not payload["bruteforce_agrees"]:
             status = "error"
-    yield status, payload
+    return status, payload
 
 
-def cmd_search(args: argparse.Namespace) -> Reports:
+def cmd_search(args: argparse.Namespace) -> tuple[str, dict]:
     g = parse_graph_spec(args.graph)
     budget = _resolve_budget(args.budget, game.DEFAULT_SEARCH_BUDGET)
     outcome = game.search_strategy(g, args.q, budget=budget)
@@ -358,12 +366,11 @@ def cmd_search(args: argparse.Namespace) -> Reports:
             game.write_strategy_file(args.output, g, outcome.strategy)
             payload["written"] = args.output
         payload["found"] = True
-        yield "verified", payload
-    elif outcome.proven_unwinnable:
+        return "verified", payload
+    if outcome.proven_unwinnable:
         payload.update(found=False, proven_unwinnable=True)
-        yield "falsified", payload
-    else:
-        raise InfeasibleError(f"search budget {budget} exhausted", required=budget + 1)
+        return "falsified", payload
+    raise InfeasibleError(f"search budget {budget} exhausted", required=budget + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +380,9 @@ def cmd_search(args: argparse.Namespace) -> Reports:
 # every option of a lemma or a construction; verify, cover and search take some limits
 _OPTIONS = {
     "-o/--output": dict(required=True, help="output file"),
-    "-d": dict(type=int, help="dimension / digit base"),
+    "-d": dict(type=int, help="dimension / digit base (the residue family, q = d^n)"),
     "-n": dict(type=int, help="blade count / exponent"),
-    "-k": dict(type=int, help="clique size"),
-    "--mode": dict(help="h-lower: exhaustive|random; counting/windmill: parity|residue"),
+    "-k": dict(type=int, help="clique size (the parity family, q = 2k-2)"),
     "--certificate": dict(action="store_true", help="write the product certificate"),
     "--seed": dict(type=int, default=0, help="seed for randomized sweeps (default 0)"),
     "--budget": dict(type=int, help="override operation budget (or set HATLAB_BUDGET)"),
@@ -388,10 +394,9 @@ _OPTIONS = {
 _NAMES = {
     "lemma": {
         "three-cubes": "", "four-cubes": "", "square-minima": "", "prism-cover": "",
-        "h-lower": "-d --mode --seed --trials", "noncoverable": "-d",
+        "h-lower": "-d --seed --trials", "noncoverable": "-d",
         "difference-disjoint": "-d -n --seed --trials", "parity": "-k",
-        "counting": "--mode -k -d -n",
-        "windmill": "--mode -k -d -n --seed --budget --threads --trials",
+        "counting": "-k -d -n", "windmill": "-k -d -n --seed --budget --threads --trials",
         # no item of `all` samples, so --seed has no effect there; perfbench passes it
         "all": "--seed --budget --threads",
     },
@@ -469,9 +474,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    """Print the verb's reports as they come, each timed from the end of the
-    one before, and exit with the worst; an error, a rejected command line
-    too, ends the run with its own report and exit code."""
+    """Print the report of each command line, the fifteen of `lemma all`
+    included, as it comes, each timed from the end of the one before, and
+    exit with the worst; an error, a rejected command line too, ends the run
+    with its own report and exit code."""
     parser = build_parser()
     started = time.perf_counter()
     worst = EXIT_VERIFIED
@@ -490,9 +496,8 @@ def _run(argv: list[str] | None) -> int:
             for run in runs:
                 vars(run).update({k: v for k, v in vars(args).items() if k in run and k != "name"})
         for run in runs:
-            for status, payload in _VERB_HANDLERS[run.verb](run):
-                worst = max(worst, _emit(status, payload, started))
-                started = time.perf_counter()
+            worst = max(worst, _emit(*_VERB_HANDLERS[run.verb](run), started))
+            started = time.perf_counter()
         return worst
     except InfeasibleError as exc:
         payload = {"message": str(exc)}

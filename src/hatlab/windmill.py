@@ -409,15 +409,6 @@ def _certificate_guesses(cert: ProductCertificate, colors: np.ndarray) -> np.nda
     return np.stack(guesses).T
 
 
-def windmill_guesses(cert: ProductCertificate, assignment: Sequence[int]) -> tuple[int, ...]:
-    """Evaluate the certificate's strategy on one assignment without tables."""
-    if len(assignment) != 1 + (cert.k - 1) * cert.n:
-        raise ParameterError("assignment length does not match the windmill")
-    if any(not 0 <= c < cert.q for c in assignment):
-        raise ParameterError(f"assignment uses colors outside [{cert.q}]")
-    return tuple(_certificate_guesses(cert, np.array([assignment], dtype=np.int64))[0].tolist())
-
-
 def certificate_random_loss_check(
     cert: ProductCertificate, trials: int, seed: int = 0
 ) -> int:
@@ -489,14 +480,6 @@ def residue_counting_check(d: int, n: int) -> bool:
     key = (d ** (n - 1) + 1) ** n > (q + 1) ** (n - 1)
     chain = (q + 1) * ((q - k + 2) * (q + 1) ** (k - 2)) ** n > (q + 1) ** ((k - 1) * n)
     return key and chain
-
-
-def counting_inequality_check(mode: str, **params: int) -> bool:
-    if mode == "parity":
-        return parity_counting_check(params["k"])
-    if mode == "residue":
-        return residue_counting_check(params["d"], params["n"])
-    raise ParameterError(f"unknown counting mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,8 @@ def test_criterion_15_determinism(capsys):
 
         # CLI level: byte-identical reports modulo the elapsed_ms field
         def cli_reports(threads: str) -> list[bytes]:
-            code = main(["lemma", "windmill", "--mode", "parity", "-k", "3",
-                         "-n", "2", "--threads", threads, "--seed", "0"])
+            code = main(["lemma", "windmill", "-k", "3", "-n", "2",
+                         "--threads", threads, "--seed", "0"])
             assert code == 0
             lines = capsys.readouterr().out.splitlines()
             stripped = []

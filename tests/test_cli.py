@@ -52,8 +52,7 @@ def test_lemma_exit_codes(capsys):
     code, reports = run(capsys, "lemma", "three-cubes")
     assert code == 0 and reports[0]["payload"]["minimum"] == 20
 
-    code, reports = run(capsys, "lemma", "counting", "--mode", "residue",
-                        "-d", "3", "-n", "2")
+    code, reports = run(capsys, "lemma", "counting", "-d", "3", "-n", "2")
     assert code == 0 and reports[0]["payload"]["holds"] is True
 
 
@@ -70,9 +69,9 @@ FALSIFIED_LEMMAS = [
      lambda sets, modulus: False),
     (["parity", "-k", "3"], "hatlab.game.verify_strategy",
      lambda *args, **kwargs: VerificationReport(False, (0, 0), 1)),
-    (["counting", "--mode", "residue", "-d", "3", "-n", "2"],
-     "hatlab.windmill.counting_inequality_check", lambda mode, **params: False),
-    (["windmill", "--mode", "residue", "-d", "2", "-n", "3", "--trials", "10"],
+    (["counting", "-d", "3", "-n", "2"], "hatlab.windmill.residue_counting_check",
+     lambda d, n: False),
+    (["windmill", "-d", "2", "-n", "3", "--trials", "10"],
      "hatlab.windmill.certificate_blade_check", lambda cert: False),
 ]
 
@@ -92,10 +91,10 @@ def test_a_failed_lemma_check_is_one_falsified_report(capsys, monkeypatch, argv,
 
 
 @pytest.mark.parametrize("argv", [
-    ["--mode", "residue", "-d", "2", "-n", "18"],
-    ["--mode", "residue", "-d", "3", "-n", "100000"],
-    ["--mode", "parity", "-k", "2000"],
-    ["--mode", "parity", "-k", "10000000"],
+    ["-d", "2", "-n", "18"],
+    ["-d", "3", "-n", "100000"],
+    ["-k", "2000"],
+    ["-k", "10000000"],
 ], ids=["residue-2-18", "residue-3-100000", "parity-2000", "parity-1e7"])
 def test_counting_past_its_cap_is_refused_at_once(capsys, argv):
     started = time.perf_counter()
@@ -229,19 +228,34 @@ def test_usage_errors_exit_two(capsys):
     code, reports = run(capsys, "verify", "-g", "complete:2", "-q", "2",
                         "-s", "/nonexistent/file.json")
     assert code == 2 and reports[0]["status"] == "error"
-    code, reports = run(capsys, "lemma", "windmill", "--mode", "parity")
-    assert code == 2  # missing -k/-n
+    for argv, fault in ((["-k", "3"], "needs -n"), ([], "exactly one of -k")):
+        code, reports = run(capsys, "lemma", "windmill", *argv)
+        assert code == 2 and fault in reports[0]["payload"]["message"]
+
+
+# the graph caps refuse a parity windmill before its certificate is built
+@pytest.mark.parametrize("argv", [
+    ["lemma", "windmill", "-k", "3", "-n", "300000", "--trials", "1"],
+    ["construct", "windmill-2k2", "-k", "3", "-n", "300000"],
+], ids=["lemma", "construct"])
+def test_a_parity_windmill_past_the_graph_caps_is_refused_at_once(capsys, tmp_path, argv):
+    if argv[0] == "construct":
+        argv = [*argv, "-o", str(tmp_path / "f.json")]
+    started = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - started < 0.25
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    assert [json.loads(line)["status"] for line in out.splitlines()] == ["infeasible"]
 
 
 def test_windmill_lemma_routes(capsys):
-    code, reports = run(capsys, "lemma", "windmill", "--mode", "residue",
-                        "-d", "2", "-n", "2")
+    code, reports = run(capsys, "lemma", "windmill", "-d", "2", "-n", "2")
     assert code == 0
     assert reports[0]["payload"]["route"] == "exhaustive"
     assert reports[0]["payload"]["assignments_checked"] == 4**5
 
-    code, reports = run(capsys, "lemma", "windmill", "--mode", "residue",
-                        "-d", "2", "-n", "3", "--budget", "10000",
+    code, reports = run(capsys, "lemma", "windmill", "-d", "2", "-n", "3", "--budget", "10000",
                         "--trials", "5000")
     assert code == 0
     payload = reports[0]["payload"]
@@ -253,16 +267,15 @@ def test_windmill_lemma_routes(capsys):
 def test_reports_deterministic_across_threads_and_reruns(capsys):
     baseline = None
     for threads in ("1", "4"):
-        code, reports = run(capsys, "lemma", "windmill", "--mode", "parity",
-                            "-k", "3", "-n", "2", "--threads", threads)
+        code, reports = run(capsys, "lemma", "windmill", "-k", "3", "-n", "2",
+                            "--threads", threads)
         assert code == 0
         stripped = strip_elapsed(reports)
         if baseline is None:
             baseline = stripped
         assert stripped == baseline
     # seeded random sweeps repeat exactly too
-    runs = [strip_elapsed(run(capsys, "lemma", "h-lower", "-d", "3",
-                              "--mode", "random", "--trials", "40",
+    runs = [strip_elapsed(run(capsys, "lemma", "h-lower", "-d", "3", "--trials", "40",
                               "--seed", "9")[1]) for _ in range(2)]
     assert runs[0] == runs[1]
 
@@ -412,42 +425,45 @@ def test_numpy_axis_cap_is_infeasible(capsys, tmp_path):
     assert len(reports) == 1 and reports[0]["status"] == "infeasible"
 
 
-WINDMILL_32 = ["lemma", "windmill", "--mode", "parity", "-k", "3", "-n", "2"]
+WINDMILL_32 = ["lemma", "windmill", "-k", "3", "-n", "2"]
 
 
-@pytest.mark.parametrize("argv, budget_env", [
-    (["lemma", "parity"], None),
-    (["lemma", "noncoverable"], None),
-    (["lemma", "windmill", "--mode", "residue", "-d", "2", "-n", "3", "--trials", "-1"], None),
-    (["lemma", "difference-disjoint", "-d", "2", "-n", "3", "--trials", "-1"], None),
-    (["lemma", "h-lower", "-d", "3", "--mode", "random", "--trials", "-1"], None),
-    (["search", "-g", "custom:-3", "-q", "2"], None),
-    ([*WINDMILL_32, "--budget", "-1"], None),
-    (WINDMILL_32, "-3"),
-    (["search", "-g", "complete:2", "-q", "2", "--budget", "-5"], None),
-    (["lemma", "all", "--budget", "-1"], None),
-    ([*WINDMILL_32, "--threads", "0"], None),
-    ([*WINDMILL_32, "--threads", "-1"], None),
+@pytest.mark.parametrize("argv, budget_env, fault", [
+    (["lemma", "parity"], None, "needs -k"),
+    (["lemma", "noncoverable"], None, "needs -d"),
+    (["lemma", "windmill", "-d", "2", "-n", "3", "--trials", "-1"], None, "trials"),
+    (["lemma", "difference-disjoint", "-d", "2", "-n", "3", "--trials", "-1"], None, "trials"),
+    (["lemma", "h-lower", "-d", "3", "--trials", "-1"], None, "trials"),
+    (["search", "-g", "custom:-3", "-q", "2"], None, "n >= 0"),
+    ([*WINDMILL_32, "--budget", "-1"], None, "budget"),
+    (WINDMILL_32, "-3", "budget"),
+    (["search", "-g", "complete:2", "-q", "2", "--budget", "-5"], None, "budget"),
+    (["lemma", "all", "--budget", "-1"], None, "budget"),
+    ([*WINDMILL_32, "--threads", "0"], None, "--threads"),
+    ([*WINDMILL_32, "--threads", "-1"], None, "--threads"),
 ], ids=["parity-no-k", "noncoverable-no-d", "windmill-trials", "residues-trials",
         "h-lower-trials", "negative-vertex-count", "negative-budget", "negative-budget-env",
         "negative-search-budget", "negative-budget-lemma-all", "zero-threads",
         "negative-threads"])
-def test_missing_or_negative_parameters_exit_two(capsys, monkeypatch, argv, budget_env):
+def test_missing_or_negative_parameters_exit_two(capsys, monkeypatch, argv, budget_env, fault):
     if budget_env is not None:
         monkeypatch.setenv("HATLAB_BUDGET", budget_env)
-    assert_one_error_line(capsys, argv)
+    code, reports = run(capsys, *argv)
+    assert code == 2
+    assert len(reports) == 1 and reports[0]["status"] == "error"
+    assert fault in reports[0]["payload"]["message"]
 
 
 # each lemma and construction as a valid command line, and the options it does not read
 UNREAD_OPTIONS = [
     *((["lemma", name], "-d -n -k --mode --seed --budget --threads --trials")
       for name in ("three-cubes", "four-cubes", "square-minima", "prism-cover")),
-    (["lemma", "h-lower", "-d", "1"], "-n -k --budget --threads"),
+    (["lemma", "h-lower", "-d", "1"], "-n -k --mode --budget --threads"),
     (["lemma", "noncoverable", "-d", "1"], "-n -k --mode --seed --budget --threads --trials"),
     (["lemma", "difference-disjoint", "-d", "2", "-n", "2"], "-k --mode --budget --threads"),
     (["lemma", "parity", "-k", "2"], "-d -n --mode --seed --budget --threads --trials"),
-    (["lemma", "counting", "--mode", "residue", "-d", "3", "-n", "2"],
-     "--seed --budget --threads --trials"),
+    (["lemma", "counting", "-d", "3", "-n", "2"], "-k --mode --seed --budget --threads --trials"),
+    (["lemma", "windmill", "-k", "3", "-n", "2"], "-d --mode"),
     (["lemma", "all"], "-d -n -k --mode --trials"),
     (["construct", "sum", "-n", "3"], "-d -k --certificate"),
     (["construct", "windmill-2k2", "-k", "3", "-n", "2"], "-d"),
@@ -459,14 +475,26 @@ VALID_VALUE = {"-d": ["2"], "-n": ["2"], "-k": ["3"], "--mode": ["parity"], "--s
                "--budget": ["100"], "--threads": ["1"], "--trials": ["10"], "--certificate": []}
 REJECTED = [argv + [flag, *VALID_VALUE[flag]]
             for argv, flags in UNREAD_OPTIONS for flag in flags.split()]
+# each names its certificate family twice, or not at all, or gives an option
+# the family does not read: one error, never a report on half the command line
+CONTRADICTORY = [
+    ["lemma", "windmill", "-k", "5", "-d", "2", "-n", "2"],
+    ["lemma", "counting", "-k", "3", "-d", "2", "-n", "2"],
+    ["lemma", "counting", "-k", "3", "-n", "2"],
+    ["lemma", "windmill", "-k", "3", "-n", "2", "-d", "7"],
+    ["lemma", "windmill", "-n", "2"],
+    ["lemma", "counting"],
+]
 
 
 @pytest.mark.parametrize("argv", [
     *REJECTED,
+    *CONTRADICTORY,
     ["lemma", "all", "-d", "9", "--mode", "bogus", "-k", "99"],
     [],
     ["construct", "sum", "-n", "3", "--seed", "1"],
-], ids=[" ".join(argv) for argv in REJECTED] + ["all-d9-bogus-k99", "no-verb", "sum-seed"])
+], ids=[" ".join(argv) for argv in REJECTED + CONTRADICTORY]
+    + ["all-d9-bogus-k99", "no-verb", "sum-seed"])
 def test_a_rejected_command_line_is_one_error_report(capsys, tmp_path, argv):
     if argv[:1] == ["construct"]:
         argv = [*argv[:2], "-o", str(tmp_path / "f.json"), *argv[2:]]
@@ -478,7 +506,7 @@ def test_a_rejected_command_line_is_one_error_report(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["lemma", "difference-disjoint", "-d", "3", "-n", "10000"],
-    ["lemma", "windmill", "--mode", "residue", "-d", "3", "-n", "10000"],
+    ["lemma", "windmill", "-d", "3", "-n", "10000"],
     ["construct", "windmill-dn", "-d", "3", "-n", "10000"],
 ], ids=["difference-disjoint", "windmill", "construct"])
 def test_a_modulus_past_the_int_to_str_limit_is_refused_at_once(capsys, tmp_path, argv):
