@@ -11,6 +11,12 @@ Every sweep folds whole families at once with `_fold`: uint64 mask arrays,
 one broadcast axis per family member (the axes of ``np.ix_``).  The
 bipartite constructions find the product cubes inside such unions with
 `_cube_centres`.
+
+The sweeps run up to translation: adding t in (Z/4)^3 to every cell permutes
+each axis's values, so it maps the cubes (centre a to a + t), the cubes minus
+a cell and the prisms onto themselves and keeps two-intersection sizes.  It
+acts freely and transitively on the first member's centre, so a sweep folds
+only the families whose first centre is cell 0, each for its 64 translates.
 """
 
 from __future__ import annotations
@@ -74,16 +80,13 @@ _CUBES = np.array(CUBE_MASKS, dtype=np.uint64)
 _CUBE_SET = frozenset(CUBE_MASKS)
 _CUBE_MINUS_POINT_SET = frozenset(
     c & ~(1 << b) for c in CUBE_MASKS for b in range(64) if c >> b & 1)
+_DIGITS = np.arange(64)[:, None] // np.array([1, 4, 16]) % 4  # cell index -> (x, y, z)
+_TRANSLATE = (_DIGITS[:, None] + _DIGITS) % 4 @ np.array([1, 4, 16])  # [t, c]: cell c + t
 
 
 def cube_mask(p: Cell) -> int:
     """The 3x3x3 cube avoiding p's coordinates on every axis (27 cells)."""
     return CUBE_MASKS[cell_index(*p)]
-
-
-def hamming_ball(p: Cell) -> int:
-    """Cells within Hamming distance 2 of p: the cube's 37-cell complement."""
-    return FULL_MASK & ~cube_mask(p)
 
 
 def _fold(masks):
@@ -135,8 +138,9 @@ def cube_triple_two_intersection_size(p1: Cell, p2: Cell, p3: Cell) -> int:
 
 
 def three_cubes_min_two_intersection() -> int:
-    """Minimum |two-intersection| over all ordered cube triples (expect 20)."""
-    return int(np.bitwise_count(_fold(np.ix_(_CUBES, _CUBES, _CUBES))[1]).min())
+    """Minimum |two-intersection| over all ordered cube triples (expect 20):
+    a translate of each has first centre 0 and the same size."""
+    return int(np.bitwise_count(_fold(np.ix_(_CUBES[:1], _CUBES, _CUBES))[1]).min())
 
 
 @dataclass(frozen=True)
@@ -154,30 +158,22 @@ class FourCubeSweepReport:
 
 def four_cubes_two_intersection_sweep() -> FourCubeSweepReport:
     """Sweep all 64^4 cube quadruples: any two-intersection of size <= 29
-    must be a full cube or a cube minus one cell."""
-    cube_sorted = np.array(sorted(_CUBE_SET), dtype=np.uint64)
-    cmp_sorted = np.array(sorted(_CUBE_MINUS_POINT_SET), dtype=np.uint64)
-
-    above = 0
-    exact_cube = 0
-    minus_point = 0
-    violations: list[tuple[Cell, Cell, Cell, Cell]] = []
-    for i in range(64):  # one first cube per call keeps each array at 64^3 masks
-        t4 = _fold(np.ix_(_CUBES[i:i + 1], _CUBES, _CUBES, _CUBES))[1]
-        small = np.bitwise_count(t4) <= 29
-        above += int(t4.size - np.count_nonzero(small))
-        vals = t4[small]
-        is_cube = np.isin(vals, cube_sorted)
-        is_cmp = np.isin(vals, cmp_sorted)
-        exact_cube += int(np.count_nonzero(is_cube))
-        minus_point += int(np.count_nonzero(is_cmp))
-        for _, j, k, l in np.argwhere(small)[~(is_cube | is_cmp)]:
-            violations.append(tuple(cell_coords(int(c)) for c in (i, j, k, l)))
-    return FourCubeSweepReport(64**4, above, exact_cube, minus_point, tuple(violations))
-
-
-def is_cube_or_cube_minus_point(mask: int) -> bool:
-    return mask in _CUBE_SET or mask in _CUBE_MINUS_POINT_SET
+    must be a full cube or a cube minus one cell.  A quadruple's 64
+    translates share its two-intersection's size and kind (cube, cube minus
+    a cell, neither), so the counts are 64 times those over the 64^3 with
+    first centre 0, and the violations are their translates, in the order
+    of their cell-index tuples."""
+    t4 = _fold(np.ix_(_CUBES[:1], _CUBES, _CUBES, _CUBES))[1]
+    small = np.bitwise_count(t4) <= 29
+    vals = t4[small].tolist()
+    is_cube = np.array([v in _CUBE_SET for v in vals], dtype=bool)
+    is_cmp = np.array([v in _CUBE_MINUS_POINT_SET for v in vals], dtype=bool)
+    above, exact_cube, minus_point = (64 * int(np.count_nonzero(a))
+                                      for a in (~small, is_cube, is_cmp))
+    base = np.argwhere(small)[~(is_cube | is_cmp)]  # centre indices, the first one 0
+    quads = sorted(map(tuple, _TRANSLATE[:, base].reshape(-1, 4).tolist()))
+    return FourCubeSweepReport(64**4, above, exact_cube, minus_point,
+                               tuple(tuple(cell_coords(c) for c in quad) for quad in quads))
 
 
 # the 4x4 square analogue, cells numbered x + 4y
@@ -188,13 +184,13 @@ SQUARE_MASKS: tuple[int, ...] = tuple(grid_cube_masks(4, 2))
 
 def square_two_intersection_minima() -> tuple[int, int, int]:
     """(pair, triple, distinct-quadruple) minima of |two-intersection| for
-    3x3 squares in [4]^2; expect (4, 8, 12)."""
+    3x3 squares in [4]^2; expect (4, 8, 12).  The 16 translations of [4]^2
+    keep sizes and distinctness, so the families with first centre 0 (16
+    pairs, 256 triples, 15*14*13 quadruples) reach every minimum."""
     sq = np.array(SQUARE_MASKS, dtype=np.uint64)
-    # streamed, not listed: 43680 index tuples would linger in the heap and raise peak RSS
-    rows = itertools.chain.from_iterable(itertools.permutations(range(len(sq)), 4))
-    distinct = sq[np.fromiter(rows, np.intp).reshape(-1, 4)].T
+    distinct = sq[[(0, *rest) for rest in itertools.permutations(range(1, len(sq)), 3)]].T
     return tuple(int(np.bitwise_count(_fold(family)[1]).min())
-                 for family in (np.ix_(sq, sq), np.ix_(sq, sq, sq), distinct))
+                 for family in (np.ix_(sq[:1], sq), np.ix_(sq[:1], sq, sq), distinct))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +227,11 @@ def all_prisms_233() -> tuple[int, ...]:
 
 def prism_cover_impossible() -> bool:
     """No three cubes plus one 2x3x3 prism cover [4]^3 (checks every
-    64^3 x 288 combination)."""
+    64^3 x 288 combination).  The translates of a cover are covers, so one
+    exists if and only if one has its first cube centred at cell 0."""
     prisms = np.array(all_prisms_233(), dtype=np.uint64)
-    unions = _fold(np.ix_(_CUBES, _CUBES, _CUBES))[0].ravel()
-    step = unions.size // prisms.size  # each chunk's OR table holds <= 64^3 masks
+    unions = _fold(np.ix_(_CUBES[:1], _CUBES, _CUBES))[0].ravel()
+    step = 64**3 // prisms.size  # each chunk's OR table holds <= 64^3 masks
     return not any(((unions[s:s + step, None] | prisms) == FULL_MASK).any()
                    for s in range(0, unions.size, step))
 

@@ -25,8 +25,8 @@ from hatlab import (
     cube_triple_two_intersection_size,
     four_cubes_two_intersection_sweep,
     grid_cube_masks,
-    hamming_ball,
     k22_certificate_search,
+    prism_cover_impossible,
     read_partition_file,
     square_two_intersection_minima,
     strategy_from_bipartite_partitions,
@@ -38,11 +38,12 @@ from hatlab import (
 from hatlab import cube
 from hatlab.cube import (
     FULL_MASK,
+    SQUARE_MASKS,
+    FourCubeSweepReport,
     all_prisms_233,
     cell_coords,
     cell_index,
     hex_to_mask,
-    is_cube_or_cube_minus_point,
     mask_to_hex,
     prism_mask,
 )
@@ -73,8 +74,7 @@ def test_cube_masks_shape():
 
 @given(cells)
 def test_hamming_ball_is_cube_complement(p):
-    ball = hamming_ball(p)
-    assert ball == FULL_MASK & ~cube_mask(p)
+    ball = FULL_MASK & ~cube_mask(p)
     assert ball.bit_count() == 37
     px, py, pz = p
     for i in mask_cells(ball):
@@ -163,11 +163,106 @@ def test_four_cube_violations_come_in_lexicographic_order(monkeypatch):
         assert any(t & ~c == 0 and (c & ~t).bit_count() == 1 for c in CUBE_MASKS)
 
 
-def test_cube_or_cube_minus_point():
-    assert is_cube_or_cube_minus_point(CUBE_MASKS[5])
-    lowest = CUBE_MASKS[5] & -CUBE_MASKS[5]
-    assert is_cube_or_cube_minus_point(CUBE_MASKS[5] ^ lowest)
-    assert not is_cube_or_cube_minus_point(CUBE_MASKS[5] >> 1)
+# --- the sweeps run up to translation ---------------------------------------
+
+
+@functools.cache
+def translations(m):
+    """The translations of [4]^m as cell permutations: row t sends cell c to c + t."""
+    digits = [[c // 4**i % 4 for i in range(m)] for c in range(4**m)]
+    return np.array([[sum((a + b) % 4 * 4**i for i, (a, b) in enumerate(zip(dt, dc)))
+                      for dc in digits] for dt in digits])
+
+
+def translate(masks, perm):
+    """Each mask with its bit c moved to bit perm[c]."""
+    index = np.arange(len(perm), dtype=np.uint64)
+    bits = np.array(masks, dtype=np.uint64)[:, None] >> index & np.uint64(1)
+    return np.bitwise_or.reduce(bits << perm.astype(np.uint64), axis=1).tolist()
+
+
+@pytest.mark.parametrize("m, family", [
+    (3, CUBE_MASKS),
+    (3, sorted(cube._CUBE_MINUS_POINT_SET)),
+    (3, all_prisms_233()),
+    (2, SQUARE_MASKS),
+], ids=["cubes", "cubes-minus-a-cell", "prisms", "squares"])
+def test_every_translation_maps_the_family_onto_itself(m, family):
+    # the quotient sweeps are exact only for families closed under translation
+    for perm in translations(m):
+        assert set(translate(family, perm)) == set(family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(cells, min_size=2, max_size=4), cells)
+def test_translation_keeps_the_two_intersection(points, t):
+    moved = [tuple((a + b) % 4 for a, b in zip(p, t)) for p in points]
+    before = two_intersection([cube_mask(p) for p in points])
+    after = two_intersection([cube_mask(p) for p in moved])
+    assert after.bit_count() == before.bit_count()
+    assert translate([before], translations(3)[cell_index(*t)]) == [after]
+
+
+# the full ordered sweeps, oracles for the sweeps up to translation
+
+
+def four_cubes_sweep_reference():
+    """All 64^4 ordered quadruples, one first cube at a time."""
+    cube_sorted = np.array(sorted(cube._CUBE_SET), dtype=np.uint64)
+    cmp_sorted = np.array(sorted(cube._CUBE_MINUS_POINT_SET), dtype=np.uint64)
+    above = exact_cube = minus_point = 0
+    violations = []
+    for i in range(64):
+        t4 = cube._fold(np.ix_(cube._CUBES[i:i + 1], cube._CUBES, cube._CUBES, cube._CUBES))[1]
+        small = np.bitwise_count(t4) <= 29
+        above += int(t4.size - np.count_nonzero(small))
+        vals = t4[small]
+        is_cube = np.isin(vals, cube_sorted)
+        is_cmp = np.isin(vals, cmp_sorted)
+        exact_cube += int(np.count_nonzero(is_cube))
+        minus_point += int(np.count_nonzero(is_cmp))
+        for _, j, k, l in np.argwhere(small)[~(is_cube | is_cmp)]:
+            violations.append(tuple(cell_coords(int(c)) for c in (i, j, k, l)))
+    return FourCubeSweepReport(64**4, above, exact_cube, minus_point, tuple(violations))
+
+
+@pytest.mark.parametrize("emptied", [False, True], ids=["as-is", "no-cube-minus-point"])
+def test_four_cube_sweep_matches_the_full_sweep(monkeypatch, emptied):
+    if emptied:  # every cube minus a cell becomes a violation: 41472, in order
+        monkeypatch.setattr(cube, "_CUBE_MINUS_POINT_SET", frozenset())
+    assert four_cubes_two_intersection_sweep() == four_cubes_sweep_reference()
+
+
+def test_three_and_square_minima_match_the_full_sweeps():
+    cubes = cube._CUBES
+    assert three_cubes_min_two_intersection() == int(
+        np.bitwise_count(cube._fold(np.ix_(cubes, cubes, cubes))[1]).min())
+    sq = np.array(SQUARE_MASKS, dtype=np.uint64)
+    distinct = sq[list(itertools.permutations(range(len(sq)), 4))].T
+    assert square_two_intersection_minima() == tuple(
+        int(np.bitwise_count(cube._fold(family)[1]).min())
+        for family in (np.ix_(sq, sq), np.ix_(sq, sq, sq), distinct))
+
+
+def prism_cover_reference():
+    """Every 64^3 x |prisms| combination, each OR table at most 64^3 masks."""
+    prisms = np.array(cube.all_prisms_233(), dtype=np.uint64)
+    unions = cube._fold(np.ix_(cube._CUBES, cube._CUBES, cube._CUBES))[0].ravel()
+    step = unions.size // prisms.size
+    return not any(((unions[s:s + step, None] | prisms) == FULL_MASK).any()
+                   for s in range(0, unions.size, step))
+
+
+# three cubes and a 2x4x4 slab can cover: cubes centred at (0,0,0), (0,1,1), (0,2,2) and x <= 1
+SLABS = tuple(prism_mask(*[pair if t == axis else range(4) for t in range(3)])
+              for axis in range(3) for pair in itertools.combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("family", [None, SLABS], ids=["prisms", "slabs"])
+def test_prism_cover_matches_the_full_sweep(monkeypatch, family):
+    if family is not None:
+        monkeypatch.setattr(cube, "all_prisms_233", lambda: family)
+    assert prism_cover_impossible() == prism_cover_reference() == (family is None)
 
 
 # --- bipartite partitions ---------------------------------------------------
